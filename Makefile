@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test bench figures lint race detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke
+.PHONY: verify fmt vet build test bench figures lint race detlint detlint-report determinism-smoke bench-json bench-smoke bench-compare bench-baseline chaos-smoke rebalance-smoke lincheck-smoke lincheck-sweep scale-smoke trace-smoke bench-layers
 
 verify: fmt vet build test
 
@@ -148,6 +148,13 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-layers runs the host-time layer benchmarks with allocation counts:
+# change-log snapshots at 16 / 1,024 / 65,536 pending entries (constant time,
+# zero allocations) and directory listings at 10^2 / 10^4 entries (one
+# allocation each). CI runs the same set with -benchtime=1x.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'ChangeLogSnapshot|ListDir' -benchmem ./internal/core ./internal/server
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -299,8 +299,11 @@ func (s *bserver) handleReq(p *env.Proc, m *breq, resp *bresp) {
 		raw, ok := s.kv.GetView(dirKey(m.Dir))
 		if ok && m.Op == core.OpReadDir {
 			prefix := entKey(m.Dir, "")
-			s.kv.Scan(prefix, func(k, v []byte) bool {
-				e := core.DirEntry{Name: string(k[len(prefix):]), Type: core.TypeRegular}
+			if n := s.kv.CountPrefix(prefix); n > 0 {
+				resp.Entries = make([]core.DirEntry, 0, n)
+			}
+			s.kv.ScanGroup(prefix, func(name string, v []byte) bool {
+				e := core.DirEntry{Name: name, Type: core.TypeRegular}
 				if len(v) > 0 {
 					e.Type = core.FileType(v[0])
 				}

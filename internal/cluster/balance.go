@@ -139,15 +139,7 @@ func copyGroup(src, dst *server.Server, fp core.Fingerprint) int {
 			for _, m := range src.AppliedMarks(r.in.ID) {
 				dst.InjectAppliedMark(m.Src, r.in.ID, m.ID, true)
 			}
-			prefix := core.EntryPrefix(r.in.ID)
-			var dents []core.DirEntry
-			src.KV().Scan(prefix, func(k, v []byte) bool {
-				name := string(k[len(prefix):])
-				if de, err := core.DecodeDirEntry(name, v); err == nil {
-					dents = append(dents, de)
-				}
-				return true
-			})
+			dents, _ := src.ListDir(r.in.ID)
 			for _, de := range dents {
 				dst.InjectDentry(r.in.ID, de, true)
 				moved++

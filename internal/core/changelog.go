@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LogEntry is one committed-but-not-yet-applied asynchronous directory
 // update (§5.3, Fig. 7): the timestamp, operation type, and component name.
@@ -54,30 +57,42 @@ func (l *ChangeLog) Bytes() int { return l.bytes }
 
 // Snapshot returns the pending entries without draining them; used when
 // sending entries to the owner while they must remain re-sendable until the
-// owner's acknowledgment arrives (§5.2.2 steps 6–9).
+// owner's acknowledgment arrives (§5.2.2 steps 6–9). It copies nothing: the
+// result is a capacity-capped view of the log's backing array, which is
+// append-only — Append writes only past every view handed out, and
+// AckThrough never writes into it — so a snapshot stays valid for as long
+// as its holder keeps it. Holders must not mutate it.
 func (l *ChangeLog) Snapshot() []LogEntry {
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	return l.entries[:len(l.entries):len(l.entries)]
 }
 
 // AckThrough drops every entry with ID ≤ id — called when the directory owner
 // acknowledges application, after the entries were marked "applied" in the
 // local WAL. The whole queue is filtered (not just a prefix): concurrent
 // appenders of different names may interleave ID assignment and queue order.
+// An acked prefix is resliced away; any other survivors are gathered into a
+// fresh array, since snapshots may share the current one.
 func (l *ChangeLog) AckThrough(id uint64) {
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		if e.ID <= id {
-			l.bytes -= entryWireBytes(e)
-			continue
+	kept := l.entries
+	for len(kept) > 0 && kept[0].ID <= id {
+		l.bytes -= entryWireBytes(kept[0])
+		kept = kept[1:]
+	}
+	if j := slices.IndexFunc(kept, func(e LogEntry) bool { return e.ID <= id }); j >= 0 {
+		fresh := append(make([]LogEntry, 0, len(kept)-1), kept[:j]...)
+		for _, e := range kept[j:] {
+			if e.ID <= id {
+				l.bytes -= entryWireBytes(e)
+				continue
+			}
+			fresh = append(fresh, e)
 		}
-		kept = append(kept, e)
+		kept = fresh
+	}
+	if len(kept) == 0 {
+		kept = nil
 	}
 	l.entries = kept
-	if len(l.entries) == 0 {
-		l.entries = nil
-	}
 }
 
 // EntryOp is a compacted entry-list mutation: the final fate of one name.
@@ -148,18 +163,13 @@ func Compact(entries []LogEntry) Compacted {
 			c.Ops = append(c.Ops, op)
 		}
 	}
-	// A create later cancelled by a delete leaves a remove for a dentry that
-	// never reached the owner; the remove is harmless (blind delete) but we
-	// can prune pure create+delete pairs: they are detectable as !Put ops
-	// whose net contribution already cancelled. We keep them — pruning would
-	// require knowing prior presence at the owner, which only the owner has.
 	return c
 }
 
 // ApplyToAttr merges the compacted attribute update into a directory inode's
 // attributes: entry-count delta and overwrite-max timestamps. Entry-list
 // mutations are applied separately by the owner against its dentry records.
-func (c Compacted) ApplyToAttr(a *Attr, now int64) {
+func (c Compacted) ApplyToAttr(a *Attr) {
 	a.Size += c.NetEntries
 	if a.Size < 0 {
 		a.Size = 0
@@ -170,5 +180,4 @@ func (c Compacted) ApplyToAttr(a *Attr, now int64) {
 	if c.MaxTime > a.Ctime {
 		a.Ctime = c.MaxTime
 	}
-	_ = now
 }

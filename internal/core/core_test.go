@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -343,6 +344,103 @@ func TestAckThroughOutOfOrderIDs(t *testing.T) {
 	}
 }
 
+// TestSnapshotSurvivesLogMutation pins the append-only invariant behind the
+// copy-free Snapshot: no later Append or AckThrough may change what an
+// earlier snapshot holds, whether the append fits the backing array or
+// regrows it, and whether the ack drops a prefix or out-of-order IDs.
+func TestSnapshotSurvivesLogMutation(t *testing.T) {
+	fill := func(ids ...uint64) *ChangeLog {
+		l := &ChangeLog{}
+		for _, id := range ids {
+			l.Append(LogEntry{ID: id, Op: OpCreate, Name: fmt.Sprintf("n%d", id)})
+		}
+		return l
+	}
+	cases := []struct {
+		name   string
+		ids    []uint64
+		roomy  bool // the fixture must leave spare capacity
+		mutate func(l *ChangeLog)
+	}{
+		{"append within capacity", []uint64{1, 2, 3}, true, func(l *ChangeLog) {
+			l.Append(LogEntry{ID: 9, Op: OpDelete, Name: "x"})
+		}},
+		{"append past capacity", []uint64{1, 2, 3, 4}, false, func(l *ChangeLog) {
+			for id := uint64(10); id < 30; id++ {
+				l.Append(LogEntry{ID: id, Op: OpCreate, Name: "y"})
+			}
+		}},
+		{"ack a prefix", []uint64{1, 2, 3, 4, 5}, false, func(l *ChangeLog) {
+			l.AckThrough(2)
+			l.Append(LogEntry{ID: 6, Op: OpCreate, Name: "z"})
+		}},
+		{"ack out-of-order ids", []uint64{2, 1, 4, 3}, false, func(l *ChangeLog) {
+			l.AckThrough(2)
+			l.Append(LogEntry{ID: 5, Op: OpCreate, Name: "w"})
+			l.AckThrough(4)
+			l.Append(LogEntry{ID: 6, Op: OpCreate, Name: "v"})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := fill(tc.ids...)
+			if tc.roomy && cap(l.entries) == len(l.entries) {
+				t.Fatalf("fixture has no spare capacity (len=cap=%d)", len(l.entries))
+			}
+			snap := l.Snapshot()
+			want := append([]LogEntry(nil), snap...)
+			tc.mutate(l)
+			if !reflect.DeepEqual(snap, want) {
+				t.Fatalf("snapshot changed under %s:\n got %v\nwant %v", tc.name, snap, want)
+			}
+			// A holder appending to its snapshot must not reach the log.
+			before := append([]LogEntry(nil), l.Snapshot()...)
+			_ = append(snap, LogEntry{ID: 99, Name: "holder"})
+			if !reflect.DeepEqual(l.Snapshot(), before) {
+				t.Fatal("append to a snapshot wrote into the log")
+			}
+		})
+	}
+}
+
+func TestSnapshotAllocatesNothing(t *testing.T) {
+	l := &ChangeLog{}
+	for i := 1; i <= 1000; i++ {
+		l.Append(LogEntry{ID: uint64(i), Op: OpCreate, Name: "f"})
+	}
+	var snap []LogEntry
+	if n := testing.AllocsPerRun(100, func() { snap = l.Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot made %v allocations, want 0", n)
+	}
+	if len(snap) != 1000 {
+		t.Fatalf("snapshot len=%d", len(snap))
+	}
+}
+
+// snapSink keeps the benchmarked Snapshot calls from being optimized away.
+var snapSink []LogEntry
+
+// BenchmarkChangeLogSnapshot measures one snapshot of a log holding n
+// pending entries: constant time and zero allocations at any backlog.
+func BenchmarkChangeLogSnapshot(b *testing.B) {
+	for _, n := range []int{16, 1024, 65536} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			l := &ChangeLog{}
+			for i := 1; i <= n; i++ {
+				l.Append(LogEntry{ID: uint64(i), Op: OpCreate, Name: "f"})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snapSink = l.Snapshot()
+			}
+			if len(snapSink) != n {
+				b.Fatalf("snapshot len=%d, want %d", len(snapSink), n)
+			}
+		})
+	}
+}
+
 func TestCompactNetAndMax(t *testing.T) {
 	entries := []LogEntry{
 		{ID: 1, Time: 10, Op: OpCreate, Name: "a", Type: TypeRegular},
@@ -424,7 +522,7 @@ func TestCompactEquivalence(t *testing.T) {
 			}
 		}
 		var attr Attr
-		c.ApplyToAttr(&attr, 0)
+		c.ApplyToAttr(&attr)
 		if attr.Size != refSize && !(refSize < 0 && attr.Size == 0) {
 			t.Fatalf("trial %d: size %d, want %d", trial, attr.Size, refSize)
 		}
@@ -440,7 +538,7 @@ func TestCompactEquivalence(t *testing.T) {
 func TestApplyToAttrClampsSize(t *testing.T) {
 	c := Compacted{NetEntries: -5}
 	a := Attr{Size: 2}
-	c.ApplyToAttr(&a, 0)
+	c.ApplyToAttr(&a)
 	if a.Size != 0 {
 		t.Fatalf("size=%d, want clamped 0", a.Size)
 	}

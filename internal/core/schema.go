@@ -195,7 +195,7 @@ func SplitPath(path string) ([]string, error) {
 
 // EncodeInode serializes an inode for storage in the KV store and the WAL.
 func EncodeInode(in *Inode) []byte {
-	b := make([]byte, 0, 96)
+	b := make([]byte, 0, inodeFixedLen+4*len(in.DataLoc))
 	b = append(b, byte(in.Type))
 	b = binary.BigEndian.AppendUint16(b, uint16(in.Perm))
 	b = binary.BigEndian.AppendUint32(b, in.UID)
@@ -214,10 +214,12 @@ func EncodeInode(in *Inode) []byte {
 	return b
 }
 
+// inodeFixedLen is the EncodeInode size before the DataLoc list.
+const inodeFixedLen = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 32 + 8 + 2
+
 // DecodeInode parses the output of EncodeInode.
 func DecodeInode(b []byte) (*Inode, error) {
-	const fixed = 1 + 2 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 32 + 8 + 2
-	if len(b) < fixed {
+	if len(b) < inodeFixedLen {
 		return nil, fmt.Errorf("core: inode record too short (%d bytes)", len(b))
 	}
 	in := &Inode{}
@@ -233,13 +235,13 @@ func DecodeInode(b []byte) (*Inode, error) {
 	in.ID = DirIDFromBytes(b[47:])
 	in.File = FileID(binary.BigEndian.Uint64(b[79:]))
 	n := int(binary.BigEndian.Uint16(b[87:]))
-	if len(b) < fixed+4*n {
+	if len(b) < inodeFixedLen+4*n {
 		return nil, fmt.Errorf("core: inode record truncated data locations")
 	}
 	if n > 0 {
 		in.DataLoc = make([]uint32, n)
 		for i := 0; i < n; i++ {
-			in.DataLoc[i] = binary.BigEndian.Uint32(b[fixed+4*i:])
+			in.DataLoc[i] = binary.BigEndian.Uint32(b[inodeFixedLen+4*i:])
 		}
 	}
 	return in, nil

@@ -267,6 +267,29 @@ func (s *Store) scanLocked(prefix []byte, fn func(key, val []byte) bool) {
 	s.iterateLocked(prefix, prefixSuccessor(prefix), fn)
 }
 
+// ScanGroup calls fn for every record of one group — prefix must be a whole
+// group prefix (tag + directory id + '/'), such as a directory's entry list
+// — in name order, until fn returns false. name is the store's interned
+// component string: it costs no copy and may be retained. val follows the
+// Scan contract. Paired with the O(1) CountPrefix of the same prefix, a
+// listing allocates one presized slice however many names it returns.
+func (s *Store) ScanGroup(prefix []byte, fn func(name string, val []byte) bool) {
+	if len(prefix) != groupLen || prefix[groupLen-1] != '/' {
+		panic("kv: ScanGroup needs a group prefix")
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sh := s.shards[string(prefix)]
+	if sh == nil {
+		return
+	}
+	for _, name := range sh.ensureOrder() {
+		if !fn(name, sh.m[name]) {
+			return
+		}
+	}
+}
+
 // CountPrefix returns the number of keys with the given prefix. Counting a
 // whole group — the directory-emptiness check — is O(1).
 func (s *Store) CountPrefix(prefix []byte) int {

@@ -7,6 +7,8 @@ package kv_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"switchfs/internal/core"
@@ -270,5 +272,112 @@ func sortByteSlices(b [][]byte) {
 		for j := i; j > 0 && bytes.Compare(b[j], b[j-1]) < 0; j-- {
 			b[j], b[j-1] = b[j-1], b[j]
 		}
+	}
+}
+
+// groupNames lists a group the way directory listings do: one slice
+// presized from the O(1) count, filled with the store's interned names.
+func groupNames(s *kv.Store, prefix []byte) []string {
+	var names []string
+	if n := s.CountPrefix(prefix); n > 0 {
+		names = make([]string, 0, n)
+	}
+	s.ScanGroup(prefix, func(name string, _ []byte) bool {
+		names = append(names, name)
+		return true
+	})
+	return names
+}
+
+// TestScanGroupMatchesScan checks the group iterator against the byte-key
+// Scan it replaces for listings, across creates, deletes and reinserts that
+// invalidate the shard's sorted-name cache between reads.
+func TestScanGroupMatchesScan(t *testing.T) {
+	s := kv.New()
+	id := dirID(9)
+	prefix := core.EntryPrefix(id)
+	// Neighbours that must not leak in: the same names in another group and
+	// under another tag, and a fallback key.
+	for _, n := range []string{"a", "m", "z"} {
+		s.Put(schemaKey('e', dirID(10), n), []byte{1})
+		s.Put(schemaKey('i', id, n), []byte{2})
+	}
+	s.Put([]byte("e-not-a-group"), []byte{3})
+	scanNames := func() []string {
+		var names []string
+		s.Scan(prefix, func(k, _ []byte) bool {
+			names = append(names, string(k[len(prefix):]))
+			return true
+		})
+		return names
+	}
+	rnd := rand.New(rand.NewSource(3))
+	for step := 0; step < 400; step++ {
+		k := schemaKey('e', id, fmt.Sprintf("f%02d", rnd.Intn(40)))
+		if rnd.Intn(3) == 0 {
+			s.Delete(k)
+		} else {
+			s.Put(k, []byte{byte(step)})
+		}
+		if step%7 != 0 {
+			continue
+		}
+		got, want := groupNames(s, prefix), scanNames()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: ScanGroup %v, Scan %v", step, got, want)
+		}
+	}
+	// Values come back with their names.
+	s.ScanGroup(prefix, func(name string, v []byte) bool {
+		if want, _ := s.GetView(append(core.EntryPrefix(id), name...)); !bytes.Equal(v, want) {
+			t.Fatalf("%s: value %v, want %v", name, v, want)
+		}
+		return true
+	})
+	// Stopping early stops.
+	calls := 0
+	s.ScanGroup(prefix, func(string, []byte) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("fn ran %d times after returning false", calls)
+	}
+}
+
+func TestScanGroupEmptyAndMissing(t *testing.T) {
+	s := kv.New()
+	emptied := core.EntryPrefix(dirID(1))
+	s.Put(schemaKey('e', dirID(1), "gone"), []byte{1})
+	s.Delete(schemaKey('e', dirID(1), "gone"))
+	for _, prefix := range [][]byte{emptied, core.EntryPrefix(dirID(2))} {
+		if names := groupNames(s, prefix); names != nil {
+			t.Fatalf("listing of %x = %v, want nil", prefix, names)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScanGroup accepted a non-group prefix")
+		}
+	}()
+	s.ScanGroup(schemaKey('e', dirID(1), "name"), func(string, []byte) bool { return true })
+}
+
+// TestGroupListingAllocsConstant: a listing allocates its one slice, not a
+// name copy per entry nor a regrowth per doubling.
+func TestGroupListingAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := kv.New()
+		id := dirID(4)
+		for i := 0; i < n; i++ {
+			s.Put(schemaKey('e', id, fmt.Sprintf("file-%06d", i)), []byte{1, 0, 0})
+		}
+		prefix := core.EntryPrefix(id)
+		return testing.AllocsPerRun(20, func() {
+			if got := len(groupNames(s, prefix)); got != n {
+				t.Fatalf("listed %d of %d", got, n)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(10000)
+	if small != large {
+		t.Fatalf("listing allocations grow with size: %v at 10, %v at 10000", small, large)
 	}
 }

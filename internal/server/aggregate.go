@@ -555,8 +555,13 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 	if s.cfg.Compaction {
 		p.Compute(c.WALAppend + env.Duration(len(fresh))*c.LogAppend)
 	}
+	longest := 0
 	for _, e := range fresh {
-		payload := u64(nil, uint64(src))
+		longest = max(longest, entryLen(log.Dir, e))
+	}
+	payload := make([]byte, 0, 8+longest) // reused: Append copies it
+	for _, e := range fresh {
+		payload = u64(payload[:0], uint64(src))
 		payload = encodeEntry(payload, log.Dir, e)
 		if !s.cfg.Compaction {
 			p.Compute(c.WALAppend)
@@ -583,7 +588,7 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 
 	if s.cfg.Compaction {
 		comp := core.Compact(fresh)
-		comp.ApplyToAttr(&in.Attr, p.Now())
+		comp.ApplyToAttr(&in.Attr)
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
 		s.kv.Put(ek, core.EncodeInode(in))
 		for _, op := range comp.Ops {
@@ -601,7 +606,7 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 	} else {
 		for _, e := range fresh {
 			one := core.Compact([]core.LogEntry{e})
-			one.ApplyToAttr(&in.Attr, p.Now())
+			one.ApplyToAttr(&in.Attr)
 			p.Compute(c.KVGet + c.KVPut + c.LogApplyEntry)
 			s.kv.Put(ek, core.EncodeInode(in))
 			dk := append(core.EntryPrefix(in.ID), e.Name...)

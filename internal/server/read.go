@@ -197,16 +197,8 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 			} else {
 				resp.Attr = in.Attr
 				if req.Op == core.OpReadDir {
-					prefix := core.EntryPrefix(in.ID)
-					n := 0
-					s.kv.Scan(prefix, func(k, v []byte) bool {
-						name := string(k[len(prefix):])
-						if de, e := core.DecodeDirEntry(name, v); e == nil {
-							resp.Entries = append(resp.Entries, de)
-						}
-						n++
-						return true
-					})
+					var n int
+					resp.Entries, n = s.ListDir(in.ID)
 					p.Compute(env.Duration(n) * c.KVScanEntry)
 				}
 			}

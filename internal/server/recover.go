@@ -257,7 +257,7 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 	if ok {
 		if in, err := core.DecodeInode(raw); err == nil {
 			one := core.Compact([]core.LogEntry{e})
-			one.ApplyToAttr(&in.Attr, e.Time)
+			one.ApplyToAttr(&in.Attr)
 			s.kv.Put(ek, core.EncodeInode(in))
 			dk := append(core.EntryPrefix(in.ID), e.Name...)
 			switch e.Op {

@@ -82,14 +82,7 @@ func (s *Server) collectDentries(p *env.Proc, owner env.NodeID, dir core.DirID,
 
 	var entries []core.DirEntry
 	if owner == s.cfg.ID {
-		prefix := core.EntryPrefix(dir)
-		s.kv.Scan(prefix, func(k, v []byte) bool {
-			name := string(k[len(prefix):])
-			if de, err := core.DecodeDirEntry(name, v); err == nil {
-				entries = append(entries, de)
-			}
-			return true
-		})
+		entries, _ = s.ListDir(dir)
 	} else {
 		v, err := s.ctlCall(p, owner, func(ctl uint64) wire.Msg {
 			return &wire.ScanDirReq{Ctl: ctl, From: s.cfg.ID, Dir: dir, FP: fp}
@@ -129,16 +122,8 @@ func (s *Server) handleScanDir(p *env.Proc, req *wire.ScanDirReq) {
 		}
 		defer s.fpExit(req.FP)
 	}
-	prefix := core.EntryPrefix(req.Dir)
-	n := 0
-	s.kv.Scan(prefix, func(k, v []byte) bool {
-		name := string(k[len(prefix):])
-		if de, err := core.DecodeDirEntry(name, v); err == nil {
-			resp.Entries = append(resp.Entries, de)
-		}
-		n++
-		return true
-	})
+	var n int
+	resp.Entries, n = s.ListDir(req.Dir)
 	p.Compute(env.Duration(n) * c.KVScanEntry)
 	s.reply(p, req.From, resp)
 }

@@ -865,6 +865,12 @@ const (
 
 func u64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
+// entryLen is the exact number of bytes encodeEntry appends, so record
+// buffers can be sized once.
+func entryLen(dir core.DirRef, e core.LogEntry) int {
+	return 32 + 32 + 8 + len(dir.Key.Name) + 8 + 8 + 8 + 4 + 8 + len(e.Name)
+}
+
 func encodeEntry(b []byte, dir core.DirRef, e core.LogEntry) []byte {
 	b = dir.ID.AppendBinary(b)
 	b = dir.Key.PID.AppendBinary(b)

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +15,10 @@ import (
 )
 
 // newTestServer builds a minimal single-node server for white-box tests.
-func newTestServer(t *testing.T) (*env.Sim, *Server) {
-	t.Helper()
+func newTestServer(tb testing.TB) (*env.Sim, *Server) {
+	tb.Helper()
 	sim := env.NewSim(3)
-	t.Cleanup(sim.Shutdown)
+	tb.Cleanup(sim.Shutdown)
 	s := New(sim, Config{
 		ID:        100,
 		Ring:      ring.New([]uint32{0}, 0, func(uint32) env.NodeID { return 100 }),
@@ -26,16 +29,34 @@ func newTestServer(t *testing.T) (*env.Sim, *Server) {
 	return sim, s
 }
 
+// TestCommitRecordRoundTrip pins the commit record's bytes (the WAL format
+// recovery replays), its decoding, and its sizing: one exactly-sized buffer
+// plus the inode image, however long the names.
 func TestCommitRecordRoundTrip(t *testing.T) {
 	_, s := newTestServer(t)
 	parent := core.DirRef{ID: core.DirID{1, 2, 3, 4},
 		Key: core.Key{PID: core.RootDirID, Name: "p"}}
 	parent.FP = parent.Key.Fingerprint()
 	entry := core.LogEntry{ID: 7, Time: 99, Op: core.OpCreate, Name: "f", Type: core.TypeRegular, Perm: 0o644}
-	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}}
+	in := &core.Inode{Attr: core.Attr{Type: core.TypeRegular, Perm: 0o644, Nlink: 1}, DataLoc: []uint32{3, 5}}
 	key := core.Key{PID: parent.ID, Name: "f"}
 
+	const want = "0100000000000000010000000000000002000000000000000300000000000000" +
+		"0400000000000000016600000000000000610101a40000000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"0100000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000002000000030000000500000000000000010000000000" +
+		"0000020000000000000003000000000000000400000000000000000000000000" +
+		"000000000000000000000000000000000000010000000000000001700001c49b" +
+		"4a6048d800000000000000070000000000000063010101a40000000000000001" +
+		"66"
 	payload := s.encodeCommit(core.OpCreate, key, parent, entry, in)
+	if got := hex.EncodeToString(payload); got != want {
+		t.Fatalf("commit record changed:\n got %s\nwant %s", got, want)
+	}
+	if len(payload) != cap(payload) {
+		t.Fatalf("commit buffer len %d cap %d: not sized exactly", len(payload), cap(payload))
+	}
 	op, gotKey, gotParent, gotEntry, gotIn, err := decodeCommit(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +64,15 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	if op != core.OpCreate || gotKey != key || gotParent != parent || gotEntry != entry {
 		t.Fatalf("round trip mismatch: op=%v key=%v parent=%v entry=%+v", op, gotKey, gotParent, gotEntry)
 	}
-	if gotIn.Attr != in.Attr {
-		t.Fatalf("inode attr mismatch: %+v", gotIn.Attr)
+	if gotIn.Attr != in.Attr || !reflect.DeepEqual(gotIn.DataLoc, in.DataLoc) {
+		t.Fatalf("inode mismatch: %+v", gotIn)
+	}
+	key.Name = strings.Repeat("k", 200)
+	entry.Name = key.Name
+	if n := testing.AllocsPerRun(100, func() {
+		s.encodeCommit(core.OpCreate, key, parent, entry, in)
+	}); n > 2 {
+		t.Fatalf("encodeCommit made %v allocations, want <= 2", n)
 	}
 }
 
@@ -66,7 +94,7 @@ func TestEntryRecordRoundTrip(t *testing.T) {
 			Name: name, Type: core.TypeRegular, Perm: 0o600}
 		b := encodeEntry(nil, ref, e)
 		gotRef, gotE, rest := decodeEntry(b)
-		return gotRef == ref && gotE == e && len(rest) == 0
+		return gotRef == ref && gotE == e && len(rest) == 0 && len(b) == entryLen(ref, e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -264,5 +292,27 @@ func TestDuplicateChmodNotReexecuted(t *testing.T) {
 	}
 	if got := s.wal.Len(); got != walAfterNewer {
 		t.Fatalf("duplicate chmod re-appended WAL records: %d -> %d", walAfterNewer, got)
+	}
+}
+
+// BenchmarkListDir measures one directory listing (the readdir and scan-dir
+// handlers' store work) at 10^2 and 10^4 entries: allocations stay flat.
+func BenchmarkListDir(b *testing.B) {
+	for _, n := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			_, s := newTestServer(b)
+			dir := core.DirID{7, 7, 7, 7}
+			for i := 0; i < n; i++ {
+				s.InjectDentry(dir, core.DirEntry{Name: fmt.Sprintf("file-%06d", i),
+					Type: core.TypeRegular, Perm: 0o644}, false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if entries, _ := s.ListDir(dir); len(entries) != n {
+					b.Fatalf("listed %d of %d", len(entries), n)
+				}
+			}
+		})
 	}
 }

@@ -108,16 +108,36 @@ func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 	return nil
 }
 
+// ListDir returns dir's entry list in name order and the number of records
+// visited (what a scan is charged for; a record that fails to decode is
+// visited but not listed). The names are the store's interned strings and
+// the slice is presized from the group's O(1) count.
+func (s *Server) ListDir(dir core.DirID) (entries []core.DirEntry, visited int) {
+	prefix := core.EntryPrefix(dir)
+	if n := s.kv.CountPrefix(prefix); n > 0 {
+		entries = make([]core.DirEntry, 0, n)
+	}
+	s.kv.ScanGroup(prefix, func(name string, v []byte) bool {
+		if de, err := core.DecodeDirEntry(name, v); err == nil {
+			entries = append(entries, de)
+		}
+		visited++
+		return true
+	})
+	return entries, visited
+}
+
 // encodeCommit serializes a recCommit WAL record: the committed double-inode
 // operation, its inode image, and the deferred parent update (§5.2.1 step 4).
 func (s *Server) encodeCommit(op core.Op, key core.Key, parent core.DirRef,
 	entry core.LogEntry, in *core.Inode) []byte {
 
-	b := []byte{byte(op)}
+	enc := core.EncodeInode(in)
+	b := make([]byte, 0, 1+32+8+len(key.Name)+8+len(enc)+entryLen(parent, entry))
+	b = append(b, byte(op))
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
-	enc := core.EncodeInode(in)
 	b = u64(b, uint64(len(enc)))
 	b = append(b, enc...)
 	b = encodeEntry(b, parent, entry)

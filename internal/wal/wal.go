@@ -32,7 +32,8 @@ type Record struct {
 
 // Log is the interface both backends implement.
 type Log interface {
-	// Append durably adds a record and returns its LSN.
+	// Append durably adds a record and returns its LSN. The log keeps no
+	// reference to payload, so the caller may reuse it.
 	Append(kind uint8, payload []byte) (LSN, error)
 	// MarkApplied durably marks the record at lsn as applied.
 	MarkApplied(lsn LSN) error
