@@ -24,7 +24,7 @@ import (
 //
 // A //detlint:ignore dettaint on the source line declares the value
 // deterministic (with the written reason) and stops propagation there —
-// e.g. WorkerCount under the token-passing scheduler, or CreatedAt stamps
+// e.g. WorkerCount under the single-driver Sim scheduler, or CreatedAt stamps
 // that -stamp=false zeroes before comparison.
 var Dettaint = &analysis.Analyzer{
 	Name:      "dettaint",

@@ -11,12 +11,12 @@ import (
 
 // Rawgo forbids raw concurrency — `go` statements, channel types and
 // operations, select, and the blocking sync primitives — in packages the
-// simulator schedules. Protocol code runs on env.Proc under a token-passing
-// scheduler with exactly one runnable process; a raw goroutine escapes the
+// simulator schedules. Protocol code runs on env.Proc under a single-driver
+// scheduler with exactly one running process; a raw goroutine escapes the
 // scheduler (its interleaving is the Go runtime's choice, not the seed's),
-// and a channel or sync.Mutex park would wedge the token. The replacements
-// are env.Proc.Spawn, env.Future, env.Mutex, env.Cond and env.Semaphore,
-// which behave identically under Sim and Real.
+// and a channel or sync.Mutex park would block the whole simulation. The
+// replacements are env.Proc.Spawn, env.Future, env.Mutex, env.Cond and
+// env.Semaphore, which behave identically under Sim and Real.
 //
 // sync/atomic stays legal: atomic loads/stores don't park and don't
 // reorder observable protocol events. sync.Mutex fields that guard short
@@ -64,7 +64,7 @@ func runRawgo(pass *analysis.Pass) (any, error) {
 		}
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			r.reportf(n.Pos(), "go statement in a simulator-scheduled package: raw goroutines escape the token-passing scheduler; use env.Proc.Spawn")
+			r.reportf(n.Pos(), "go statement in a simulator-scheduled package: raw goroutines escape the simulator scheduler; use env.Proc.Spawn")
 		case *ast.SendStmt:
 			r.reportf(n.Pos(), "channel send in a simulator-scheduled package: channel parks wedge the single-runnable-proc invariant; use env.Future or env.Semaphore")
 		case *ast.UnaryExpr:
@@ -100,6 +100,6 @@ func checkSyncMention(pass *analysis.Pass, r *reporter, sel *ast.SelectorExpr) {
 		return
 	}
 	if repl, bad := forbiddenSyncTypes[obj.Name()]; bad {
-		r.reportf(sel.Pos(), "sync.%s in a simulator-scheduled package parks outside the token-passing scheduler; use %s", obj.Name(), repl)
+		r.reportf(sel.Pos(), "sync.%s in a simulator-scheduled package parks outside the simulator scheduler; use %s", obj.Name(), repl)
 	}
 }

@@ -11,8 +11,8 @@
 //     per-op service time) are what the paper measures — and because virtual
 //     time can express "16 servers × 4 cores" on any host.
 //
-//   - Real: goroutines, channels and the wall clock. Examples and the UDP
-//     daemons run on Real.
+//   - Real: goroutines, channels and the wall clock. Only the fsctl CLI
+//     (through the public NewRealEnv) runs on Real.
 //
 // Protocol code is written against Proc (a lightweight process) and the
 // blocking primitives Future, Mutex, Cond and Semaphore, which behave
@@ -129,20 +129,24 @@ func (n *Node) SetCores(k int) {
 }
 
 // Proc is a lightweight process: protocol code's execution context. Procs
-// are cooperatively scheduled under Sim (exactly one runs at a time) and are
-// plain goroutines under Real.
+// are pooled coroutines under Sim (exactly one runs at a time) and are plain
+// goroutines under Real.
 type Proc struct {
-	env    Env
-	node   *Node
+	env  Env
+	node *Node
+	// resume wakes a parked process under Real; Sim does not use it.
 	resume chan struct{}
+	// next resumes this process's coroutine under Sim, and yield (set by the
+	// running coroutine) suspends it back to the caller of next. Both are
+	// nil under Real.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// timedOut communicates Future/acquire timeout state between the timer
 	// callback and the resumed process.
 	timedOut bool
 	// twGen numbers this process's Future waits under Sim; a queued expiry
 	// event whose generation no longer matches is a cancelled timeout.
 	twGen uint64
-	// killed is set by Sim.Shutdown to unwind the process.
-	killed bool
 	// state tracks the Sim scheduler lifecycle (idle/dispatched/running/
 	// parked); the scheduler asserts its invariants on every transition.
 	state int

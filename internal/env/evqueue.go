@@ -169,6 +169,15 @@ func (q *eventQueue) pop() event {
 	return q.now.pop()
 }
 
+// peek returns the (at, seq)-minimal event without dequeuing it. Call only
+// when Len() > 0.
+func (q *eventQueue) peek() *event {
+	if len(q.now) == 0 {
+		q.advance()
+	}
+	return &q.now[0]
+}
+
 // advance moves cur to the next populated bucket and loads it into the now
 // heap, migrating far events that the new window reaches.
 func (q *eventQueue) advance() {

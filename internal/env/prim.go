@@ -4,7 +4,8 @@ import "sync"
 
 // The blocking primitives below behave identically under Sim and Real: FIFO
 // wakeup order, lock handoff to the head waiter, and timeout support where
-// the protocol needs it. Under Sim only one process runs at a time, so the
+// the protocol needs it. Under Sim every process is a coroutine resumed by
+// the one driver loop, so the code between two parks runs alone and the
 // internal sync.Mutex fields are uncontended; under Real they provide the
 // actual mutual exclusion.
 
@@ -301,7 +302,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	if s, ok := p.env.(*Sim); ok {
 		// Schedule the wakeup directly: no Timer, no closure, and — when
-		// no other event intervenes — no goroutine switch either.
+		// no other event intervenes — no coroutine switch either.
 		s.schedWake(p, d, stateParked)
 		p.park()
 		return

@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// The build constraint lifts this file to go1.23 for iter.Pull (runtime
+// coroutines) while the module stays at go 1.22.
+
 package env
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -13,11 +19,11 @@ import (
 //
 // The engine is built for throughput: events are plain values in a calendar
 // queue (no allocation per message delivery, wakeup, sleep or RPC timeout),
-// and the scheduler is a token passed between goroutines — whichever
-// goroutine holds the token drains the event queue, handing the token
-// directly to the next runnable process. A process whose own wakeup is the
-// next event (an uncontended Compute or Sleep) resumes without any goroutine
-// switch at all.
+// and the scheduler is one driver loop (Run) over pooled runtime coroutines.
+// The driver pops events in order and resumes the process a wakeup names;
+// the process runs until it parks or its body returns, then yields straight
+// back to the driver. A coroutine switch never involves the Go scheduler,
+// so no thread is woken and no goroutine is queued per handoff.
 type Sim struct {
 	cur   Time
 	seq   uint64
@@ -26,15 +32,9 @@ type Sim struct {
 	net   NetConfig
 	rnd   *rand.Rand
 
-	// drivers is the stack of active Run invocations' wake channels. Run may
-	// be entered re-entrantly (a session body driving a nested session), so
-	// a holder observing drain/stop hands the token to the innermost driver.
-	drivers []chan struct{}
-	// yield returns control to Shutdown from unwinding killed workers.
-	yield   chan struct{}
 	stopped bool
 
-	free []*simProcState // pooled worker goroutines
+	free []*simProcState // pooled worker coroutines
 	all  []*simProcState // every live worker, for Shutdown
 
 	// Stats observable by harnesses.
@@ -46,14 +46,14 @@ type Sim struct {
 }
 
 type simProcState struct {
-	p  *Proc
-	fn func(*Proc)
+	p    *Proc
+	fn   func(*Proc)
+	stop func() // ends the coroutine (Shutdown)
 	// Message deliveries dispatch through the node's handler with the
 	// from/msg pair stored here, avoiding a closure per packet.
-	hnode  *Node
-	hfrom  NodeID
-	hmsg   any
-	exited bool
+	hnode *Node
+	hfrom NodeID
+	hmsg  any
 }
 
 // NewSim creates a simulator seeded for deterministic execution.
@@ -61,7 +61,6 @@ func NewSim(seed int64) *Sim {
 	s := &Sim{
 		nodes: make(map[NodeID]*Node),
 		rnd:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
 		net:   DefaultNetConfig(),
 	}
 	return s
@@ -107,10 +106,10 @@ func (s *Sim) Spawn(node NodeID, fn func(*Proc)) {
 func (s *Sim) After(d Duration, fn func()) *Timer { return s.sched(d, fn) }
 
 // SpawnAfter schedules fn to start on node after d of virtual time without
-// holding a goroutine in the meantime: the continuation is carried by a
+// holding a coroutine in the meantime: the continuation is carried by a
 // queued event and dispatches on a pooled worker when it fires. This is the
 // O(1)-memory idle-session shape — a session that would otherwise sleep on a
-// parked goroutine between operations re-queues its next step instead, so a
+// parked coroutine between operations re-queues its next step instead, so a
 // million idle clients cost a million queued events, not a million stacks.
 // The pool only ever grows to the number of *concurrently running* bodies.
 // If the node is down when the event fires, the continuation is dropped
@@ -122,7 +121,7 @@ func (s *Sim) SpawnAfter(node NodeID, d Duration, fn func(*Proc)) {
 	s.push(d, event{kind: evSpawn, to: node, msg: fn})
 }
 
-// WorkerCount reports how many pooled worker goroutines have been created so
+// WorkerCount reports how many pooled worker coroutines have been created so
 // far: the peak concurrent-body count of the run, and the figure harnesses'
 // witness that parked sessions are not holding stacks.
 func (s *Sim) WorkerCount() int { return len(s.all) }
@@ -207,7 +206,7 @@ func (s *Sim) dispatchDeliver(ev *event) {
 	s.schedWake(st.p, 0, stateDispatched)
 }
 
-// newProc dispatches fn on a pooled worker goroutine, scheduled immediately.
+// newProc dispatches fn on a pooled worker coroutine, scheduled immediately.
 func (s *Sim) newProc(node *Node, fn func(*Proc)) {
 	st := s.takeWorker()
 	st.p.node = node
@@ -224,9 +223,9 @@ func (s *Sim) takeWorker() *simProcState {
 		s.free = s.free[:k-1]
 		return st
 	}
-	st := &simProcState{p: &Proc{env: s, resume: make(chan struct{}, 1)}}
+	st := &simProcState{p: &Proc{env: s}}
+	st.p.next, st.stop = iter.Pull(s.worker(st))
 	s.all = append(s.all, st)
-	go s.workerLoop(st)
 	return st
 }
 
@@ -238,115 +237,71 @@ const (
 	stateParked
 )
 
-// workerLoop is the body of a pooled worker goroutine.
-func (s *Sim) workerLoop(st *simProcState) {
-	defer func() {
-		// A killed worker unwinds with killSentinel; anything else is a real
-		// bug and must crash the test/benchmark loudly.
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				st.exited = true
-				s.yield <- struct{}{}
-				return
+// worker is the body of a pooled worker coroutine: it runs one dispatched
+// body per resume, returns itself to the pool, and yields back to the
+// driver until the next dispatch.
+func (s *Sim) worker(st *simProcState) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			// A killed worker unwinds with killSentinel; anything else is a
+			// real bug and propagates to whoever resumed the coroutine.
+			if r := recover(); r != nil {
+				if _, ok := r.(killSentinel); !ok {
+					panic(r)
+				}
 			}
-			panic(r)
-		}
-	}()
-	<-st.p.resume
-	// The worker now holds the scheduler token; it keeps it between
-	// dispatches, driving the event loop itself after each body returns.
-	for {
-		if st.p.killed {
-			panic(killSentinel{})
-		}
-		if st.p.state != stateRunning {
-			panic(fmt.Sprintf("env: worker woke with stale token (state %d)", st.p.state))
-		}
-		switch {
-		case st.hnode != nil:
-			n, from, msg := st.hnode, st.hfrom, st.hmsg
-			st.hnode, st.hmsg = nil, nil
-			if n.h != nil {
-				n.h(st.p, from, msg)
+		}()
+		st.p.yield = yield
+		for {
+			switch {
+			case st.hnode != nil:
+				n, from, msg := st.hnode, st.hfrom, st.hmsg
+				st.hnode, st.hmsg = nil, nil
+				if n.h != nil {
+					n.h(st.p, from, msg)
+				}
+			case st.fn != nil:
+				fn := st.fn
+				st.fn = nil
+				fn(st.p)
+			default:
+				panic("env: worker dispatched with no function")
 			}
-		case st.fn != nil:
-			fn := st.fn
-			st.fn = nil
-			fn(st.p)
-		default:
-			panic("env: worker dispatched with no function (stale token)")
+			st.p.state = stateIdle
+			s.free = append(s.free, st)
+			if !yield(struct{}{}) {
+				return // Shutdown
+			}
 		}
-		st.p.state = stateIdle
-		s.free = append(s.free, st)
-		// Still holding the token: keep the simulation moving until this
-		// worker is dispatched again.
-		s.loop(st.p)
 	}
 }
 
 type killSentinel struct{}
 
-// runLoop is the driver side of the scheduler: it drains the event queue
-// until the simulation stops or runs dry. Each Run invocation (they nest
-// when a session body drives a nested session) registers a wake channel;
-// whichever token holder observes drain/stop hands the token to the
-// innermost driver.
-func (s *Sim) runLoop() {
-	ch := make(chan struct{})
-	s.drivers = append(s.drivers, ch)
-	defer func() { s.drivers = s.drivers[:len(s.drivers)-1] }()
-	for {
-		if s.stopped || s.pq.Len() == 0 {
-			return
-		}
-		ev := s.pq.pop()
-		if ev.at > s.cur {
-			s.cur = ev.at
-		}
-		if s.exec(&ev) {
-			// Token handed to a process; it comes back on drain/stop.
-			<-ch
-		}
+// pop dequeues the next event and advances the clock to it.
+func (s *Sim) pop() event {
+	ev := s.pq.pop()
+	if ev.at > s.cur {
+		s.cur = ev.at
 	}
+	return ev
 }
 
-// loop is the process side: it drains events while `me` (parking, or a
-// pooled worker awaiting redispatch) holds the token, and returns as soon
-// as me is made runnable again — inline, with no goroutine switch, when
-// me's own wakeup is popped by this holder; otherwise after handing the
-// token away and sleeping until it returns.
-func (s *Sim) loop(me *Proc) {
-	for {
-		if s.stopped || s.pq.Len() == 0 {
-			// Hand the token to the innermost driver and wait to be woken
-			// like any parked process.
-			s.drivers[len(s.drivers)-1] <- struct{}{}
-			s.await(me)
-			return
-		}
-		ev := s.pq.pop()
-		if ev.at > s.cur {
-			s.cur = ev.at
-		}
-		if ev.kind == evWake && ev.p == me {
-			s.lastBusy = s.cur
-			if me.state != int(ev.aux) {
-				panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", me.state, ev.aux))
-			}
-			me.state = stateRunning
-			return // token stays here; the park/dispatch completes inline
-		}
-		if s.exec(&ev) {
-			s.await(me)
-			return
-		}
+// wake marks p running for a wakeup scheduled from state want. A wakeup
+// must find its proc in that state; this also catches a second wake for a
+// running proc (a double unpark) before it could resume a coroutine
+// re-entrantly.
+func (s *Sim) wake(p *Proc, want uint64) {
+	s.lastBusy = s.cur
+	if p.state != int(want) {
+		panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", p.state, want))
 	}
+	p.state = stateRunning
 }
 
-// exec performs one event. It returns true when the event transferred the
-// scheduler token to another goroutine (the caller must wait), false when
-// it completed inline.
-func (s *Sim) exec(ev *event) bool {
+// exec performs one event. A wakeup resumes the process's coroutine and
+// returns when it parks or its body returns.
+func (s *Sim) exec(ev *event) {
 	switch ev.kind {
 	case evTimer:
 		ev.msg.(*Timer).fire()
@@ -359,31 +314,8 @@ func (s *Sim) exec(ev *event) bool {
 			s.newProc(n, ev.msg.(func(*Proc)))
 		}
 	case evWake:
-		p := ev.p
-		s.lastBusy = s.cur
-		if p.state != int(ev.aux) {
-			panic(fmt.Sprintf("env: scheduling a proc in state %d, want %d", p.state, ev.aux))
-		}
-		p.state = stateRunning
-		select {
-		case p.resume <- struct{}{}:
-		default:
-			panic("env: double unpark — a process was made runnable twice for one park")
-		}
-		return true
-	}
-	return false
-}
-
-// await blocks until the token is handed to p (its wakeup was dispatched by
-// another holder), then validates the transfer.
-func (s *Sim) await(p *Proc) {
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
-	}
-	if p.state != stateRunning {
-		panic(fmt.Sprintf("env: park woke with stale token (state %d)", p.state))
+		s.wake(ev.p, ev.aux)
+		ev.p.next()
 	}
 }
 
@@ -406,16 +338,29 @@ func (s *Sim) fireTimeout(ev *event) {
 }
 
 // park is called from a running process to hand control back to the
-// scheduler until unparked. Under Sim the parking process itself drives the
-// event loop, so an immediately-runnable successor (or its own wakeup)
-// proceeds without a goroutine round trip.
+// scheduler until unparked. Under Sim it yields to the loop that resumed the
+// process; a false yield means Shutdown is ending the coroutine. While the
+// loop's next event concerns only this process — its wakeup (an uncontended
+// Compute or Sleep) or its wait expiry — park takes that step itself and
+// skips the coroutine round trip.
 func (p *Proc) park() {
-	if s, ok := p.env.(*Sim); ok {
-		p.state = stateParked
-		s.loop(p)
+	if p.yield == nil {
+		<-p.resume // Real
 		return
 	}
-	<-p.resume
+	p.state = stateParked
+	for s := p.env.(*Sim); !s.stopped && s.pq.Len() > 0 && s.pq.peek().p == p; {
+		ev := s.pop()
+		if ev.kind == evTimeout {
+			s.fireTimeout(&ev) // may make p's wakeup the next event
+			continue
+		}
+		s.wake(p, ev.aux)
+		return
+	}
+	if !p.yield(struct{}{}) {
+		panic(killSentinel{})
+	}
 }
 
 // unpark makes a parked process runnable at the current virtual time.
@@ -423,11 +368,18 @@ func (s *Sim) unpark(p *Proc) {
 	s.schedWake(p, 0, stateParked)
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the virtual time reached. A Stop from an earlier Run does not carry over.
+// Run is the scheduler loop: it executes events in (time, insertion) order
+// until the queue drains or Stop is called, and returns the virtual time
+// reached. A Stop from an earlier Run does not carry over. Run may nest (a
+// session body driving a nested session): the nested loop runs on the body's
+// coroutine, so the processes it resumes yield back to it, and the outer
+// loop continues once the body parks or returns.
 func (s *Sim) Run() Time {
 	s.stopped = false
-	s.runLoop()
+	for !s.stopped && s.pq.Len() > 0 {
+		ev := s.pop()
+		s.exec(&ev)
+	}
 	return s.cur
 }
 
@@ -445,18 +397,14 @@ func (s *Sim) Stop() { s.stopped = true }
 // the drain point of background work, ignoring trailing cancelled timers.
 func (s *Sim) LastBusy() Time { return s.lastBusy }
 
-// Shutdown kills every live process so the worker goroutines exit. The
+// Shutdown ends every worker coroutine: a parked process unwinds from its
+// park with killSentinel, an idle or never-started one simply returns. The
 // simulation must not be Run again afterwards. Benchmarks call Shutdown after
 // every configuration so parked processes do not accumulate across runs.
 func (s *Sim) Shutdown() {
 	s.stopped = true
 	for _, st := range s.all {
-		if st.exited {
-			continue
-		}
-		st.p.killed = true
-		st.p.resume <- struct{}{}
-		<-s.yield
+		st.stop()
 	}
 	s.free = nil
 }

@@ -1,6 +1,9 @@
 package env
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -333,15 +336,112 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
+// Shutdown must end every kind of worker coroutine — parked, idle in the
+// pool, and dispatched but never resumed (pooled or fresh) — and leak none.
 func TestShutdownKillsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := NewSim(1)
 	s.AddNode(1, NodeConfig{})
 	f := NewFuture()
 	for i := 0; i < 50; i++ {
 		s.Spawn(1, func(p *Proc) { f.Wait(p) }) // parked forever
 	}
+	for i := 0; i < 4; i++ {
+		s.Spawn(1, func(p *Proc) {}) // finishes: idle in the pool
+	}
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(1)
+		// Four pooled and two fresh workers, dispatched but never resumed.
+		for i := 0; i < 6; i++ {
+			p.Spawn(func(*Proc) { t.Error("body ran after Stop") })
+		}
+		s.Stop()
+	})
 	s.Run()
+	if n := runtime.NumGoroutine(); n < before+s.WorkerCount() {
+		t.Fatalf("%d goroutines with %d workers live, started from %d", n, s.WorkerCount(), before)
+	}
 	s.Shutdown() // must not hang
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the sim", n, before)
+	}
+}
+
+// runPanic runs s and returns the value Run panicked with (nil if none).
+func runPanic(s *Sim) (r any) {
+	defer func() { r = recover() }()
+	s.Run()
+	return nil
+}
+
+func TestSimNestedRun(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	var got []string
+	note := func(p *Proc, what string) { got = append(got, fmt.Sprintf("%d:%s", p.Now(), what)) }
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(2)
+			note(p, "tick")
+		}
+	})
+	s.Spawn(1, func(p *Proc) {
+		p.Sleep(1)
+		p.Spawn(func(q *Proc) {
+			q.Sleep(1) // due at 2 like the first tick, but queued after it
+			note(q, "inner")
+		})
+		if end := s.Run(); end != 6 {
+			t.Errorf("nested Run ended at %d, want 6", end)
+		}
+		note(p, "nested-done")
+	})
+	if end := s.Run(); end != 6 {
+		t.Fatalf("Run ended at %d, want 6", end)
+	}
+	want := "[2:tick 2:inner 4:tick 6:tick 6:nested-done]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("events %v, want %s", got, want)
+	}
+}
+
+func TestSimHandlerPanicSurfaces(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	type boom struct{ n int }
+	s.AddNode(2, NodeConfig{Handler: func(p *Proc, from NodeID, msg any) { panic(boom{msg.(int)}) }})
+	s.AddNode(1, NodeConfig{})
+	s.Spawn(1, func(p *Proc) { p.Send(2, 7) })
+	if r := runPanic(s); r != (boom{7}) {
+		t.Fatalf("Run panicked with %#v, want boom{7}", r)
+	}
+}
+
+func TestSimDoubleWakePanics(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	f := NewFuture()
+	var waiter *Proc
+	s.Spawn(1, func(p *Proc) {
+		waiter = p
+		f.Wait(p)
+		s.Run() // pops the stray second wake while p is running
+	})
+	s.Spawn(1, func(p *Proc) {
+		f.Complete(nil)
+		s.unpark(waiter) // a second wake for one park
+	})
+	r := runPanic(s)
+	if msg, _ := r.(string); !strings.Contains(msg, "scheduling a proc in state 2, want 3") {
+		t.Fatalf("Run panicked with %#v, want the state assertion", r)
+	}
 }
 
 func TestRealEnvBasics(t *testing.T) {

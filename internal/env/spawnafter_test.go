@@ -22,8 +22,8 @@ func TestSpawnAfterRunsAtTime(t *testing.T) {
 
 // TestSpawnAfterIdleSessionsShareWorkers is the O(1)-memory property: many
 // sessions that each re-queue their next step via SpawnAfter (instead of
-// sleeping on a parked goroutine) must be served by a handful of pooled
-// workers, not one goroutine per session.
+// sleeping on a parked coroutine) must be served by a handful of pooled
+// workers, not one coroutine per session.
 func TestSpawnAfterIdleSessionsShareWorkers(t *testing.T) {
 	s := NewSim(3)
 	defer s.Shutdown()
@@ -54,7 +54,7 @@ func TestSpawnAfterIdleSessionsShareWorkers(t *testing.T) {
 		t.Fatalf("completed %d sessions, want %d", done, sessions)
 	}
 	// Live sessions spend their time as queued events, not parked
-	// goroutines, so the worker pool must stay tiny relative to the session
+	// coroutines, so the worker pool must stay tiny relative to the session
 	// count.
 	if wc := s.WorkerCount(); wc > 64 {
 		t.Fatalf("worker pool grew to %d for %d event-queued sessions", wc, sessions)

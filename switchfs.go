@@ -75,8 +75,7 @@ type FS struct {
 // and benchmarks; identical seeds give identical executions.
 func NewSimEnv(seed int64) *env.Sim { return env.NewSim(seed) }
 
-// NewRealEnv builds the goroutine/wall-clock runtime used by the examples
-// and daemons.
+// NewRealEnv builds the goroutine/wall-clock runtime the fsctl CLI runs on.
 func NewRealEnv() *env.Real { return env.NewReal() }
 
 // New deploys a cluster (servers, switch(es), clients, data nodes) on the
