@@ -152,10 +152,11 @@ bench:
 # bench-layers runs the host-time layer benchmarks with allocation counts:
 # change-log snapshots at 16 / 1,024 / 65,536 pending entries (constant time,
 # zero allocations), directory listings at 10^2 / 10^4 entries (one
-# allocation each), and the simulator's process handoff and timed Future
-# wait. CI runs the same set with -benchtime=1x.
+# allocation each), and the simulator's process handoff, timed Future wait
+# and event queue under RPC load (256 procs' answered 2 ms waits). CI runs
+# the same set with -benchtime=1x.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ChangeLogSnapshot|ListDir|ProcHandoff|FutureWaitTimeout' -benchmem ./internal/core ./internal/server ./internal/env
+	$(GO) test -run '^$$' -bench 'ChangeLogSnapshot|ListDir|ProcHandoff|FutureWaitTimeout|RPCWait' -benchmem ./internal/core ./internal/server ./internal/env
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -146,7 +146,11 @@ type Proc struct {
 	timedOut bool
 	// twGen numbers this process's Future waits under Sim; a queued expiry
 	// event whose generation no longer matches is a cancelled timeout.
-	twGen uint64
+	// twSlot and twSeq locate the current wait's expiry in the event queue
+	// so an answered wait can unlink it.
+	twGen  uint64
+	twSeq  uint64
+	twSlot int32
 	// state tracks the Sim scheduler lifecycle (idle/dispatched/running/
 	// parked); the scheduler asserts its invariants on every transition.
 	state int
@@ -189,16 +193,26 @@ func (p *Proc) String() string { return fmt.Sprintf("proc@%d", p.node.ID) }
 type Timer struct {
 	cancelled atomic.Bool
 	fn        func()
+	// Sim: the queue holding the timer's event and where (see
+	// eventQueue.cancel); nil under Real.
+	q    *eventQueue
+	seq  uint64
+	slot int32
 	// real-mode backing timer; nil under Sim.
 	stop func()
 }
 
-// Cancel prevents the callback from firing if it has not fired yet.
+// Cancel prevents the callback from firing if it has not fired yet. Under
+// Sim it unlinks the queued event when it is still in the ring; cancelled
+// is the guard for one that has moved on.
 func (t *Timer) Cancel() {
 	if t == nil {
 		return
 	}
 	t.cancelled.Store(true)
+	if t.q != nil {
+		t.q.cancel(t.slot, t.seq)
+	}
 	if t.stop != nil {
 		t.stop()
 	}

@@ -76,12 +76,16 @@ func (f *Future) WaitTimeout(p *Proc, d Duration) (v any, ok bool) {
 	f.waiter = p
 	f.mu.Unlock()
 	if s, sim := p.env.(*Sim); sim {
-		// Under Sim the expiry is a plain queue event guarded by the
-		// proc's timeout generation — no Timer or closure per wait.
+		// Under Sim the expiry is a plain queue event — no Timer or
+		// closure per wait. An answered wait unlinks it from the ring;
+		// the generation makes one no longer in the ring stale.
 		p.twGen++
 		s.schedTimeout(p, f, d, p.twGen)
 		p.park()
-		p.twGen++ // cancel: a pending expiry event is now stale
+		p.twGen++
+		if !p.timedOut {
+			s.pq.cancel(p.twSlot, p.twSeq)
+		}
 	} else {
 		t := p.env.sched(d, func() {
 			f.mu.Lock()

@@ -126,20 +126,24 @@ func (s *Sim) SpawnAfter(node NodeID, d Duration, fn func(*Proc)) {
 // witness that parked sessions are not holding stacks.
 func (s *Sim) WorkerCount() int { return len(s.all) }
 
-// push enqueues ev at cur+d with the next insertion sequence number.
-func (s *Sim) push(d Duration, ev event) {
-	if d < 0 {
-		d = 0
-	}
-	ev.at = s.cur + d
+// push enqueues ev at cur+d with the next insertion sequence number (s.seq
+// afterwards) and returns its ring slot for eventQueue.cancel, or 0.
+func (s *Sim) push(d Duration, ev event) int32 {
 	s.seq++
 	ev.seq = s.seq
-	s.pq.push(ev)
+	if d <= 0 {
+		ev.at = s.cur
+		s.pq.pushNow(ev)
+		return 0
+	}
+	ev.at = s.cur + d
+	return s.pq.push(ev)
 }
 
 func (s *Sim) sched(d Duration, fn func()) *Timer {
-	t := &Timer{fn: fn}
-	s.push(d, event{kind: evTimer, msg: t})
+	t := &Timer{fn: fn, q: &s.pq}
+	t.slot = s.push(d, event{kind: evTimer, msg: t})
+	t.seq = s.seq
 	return t
 }
 
@@ -149,9 +153,11 @@ func (s *Sim) schedWake(p *Proc, d Duration, want int) {
 	s.push(d, event{kind: evWake, p: p, aux: uint64(want)})
 }
 
-// schedTimeout schedules a Future-wait expiry for p; gen guards staleness.
+// schedTimeout schedules a Future-wait expiry for p, recording where it is
+// queued so the wait can cancel it; gen guards staleness.
 func (s *Sim) schedTimeout(p *Proc, f *Future, d Duration, gen uint64) {
-	s.push(d, event{kind: evTimeout, p: p, msg: f, aux: gen})
+	p.twSlot = s.push(d, event{kind: evTimeout, p: p, msg: f, aux: gen})
+	p.twSeq = s.seq
 }
 
 func (s *Sim) randFloat() float64 { return s.rnd.Float64() }
@@ -324,7 +330,7 @@ func (s *Sim) exec(ev *event) {
 func (s *Sim) fireTimeout(ev *event) {
 	p, f := ev.p, ev.msg.(*Future)
 	if p.twGen != ev.aux {
-		return // the wait already ended; this timeout was cancelled
+		return // the wait already ended but could not unlink this expiry
 	}
 	f.mu.Lock()
 	if f.done || f.waiter != p {

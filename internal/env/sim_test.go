@@ -160,20 +160,33 @@ func TestFutureWaitThenComplete(t *testing.T) {
 	}
 }
 
+// An expiry nobody answers fires at exactly its deadline wherever it is
+// queued: the now-heap (same bucket), the ring, or the far heap. A wait
+// answered just before leaves a freed slot for the expiry to reuse.
 func TestFutureTimeout(t *testing.T) {
-	s := NewSim(1)
-	defer s.Shutdown()
-	s.AddNode(1, NodeConfig{})
-	f := NewFuture()
-	var ok bool
-	var at Time
-	s.Spawn(1, func(p *Proc) {
-		_, ok = f.WaitTimeout(p, 3*Microsecond)
-		at = p.Now()
-	})
-	s.Run()
-	if ok || at != 3*Microsecond {
-		t.Fatalf("ok=%v at=%d, want timeout at 3µs", ok, at)
+	for _, d := range []Duration{100 * Nanosecond, 3 * Microsecond, 2 * Millisecond, 10 * Millisecond} {
+		s := NewSim(1)
+		s.AddNode(1, NodeConfig{})
+		var start, end Time
+		var answered, timedOut bool
+		s.Spawn(1, func(p *Proc) {
+			p.Sleep(300 * Nanosecond)
+			f := NewFuture()
+			p.Spawn(func(r *Proc) {
+				r.Sleep(Microsecond)
+				f.Complete(nil)
+			})
+			_, answered = f.WaitTimeout(p, 2*Millisecond)
+			start = p.Now()
+			_, ok := NewFuture().WaitTimeout(p, d)
+			timedOut = !ok
+			end = p.Now()
+		})
+		s.Run()
+		s.Shutdown()
+		if !answered || !timedOut || end != start+d {
+			t.Fatalf("d=%d: answered=%v timedOut=%v, expired after %d", d, answered, timedOut, end-start)
+		}
 	}
 }
 
@@ -305,15 +318,58 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
+// A cancelled timer never fires. One still in the ring leaves the queue at
+// once, so a drained Run does not end on its instant; one beyond the ring
+// window stays queued and fires as a no-op.
 func TestTimerCancel(t *testing.T) {
 	s := NewSim(1)
 	defer s.Shutdown()
-	fired := false
-	tm := s.After(Microsecond, func() { fired = true })
-	tm.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
+	fired := 0
+	near := s.After(Millisecond, func() { fired++ })
+	far := s.After(Second, func() { fired++ })
+	s.After(Microsecond, func() { fired++ })
+	near.Cancel()
+	if s.pq.Len() != 2 {
+		t.Fatalf("Len=%d after cancelling the ring timer, want 2", s.pq.Len())
+	}
+	far.Cancel()
+	if s.pq.Len() != 2 {
+		t.Fatalf("Len=%d after cancelling the far timer, want 2 (lazy)", s.pq.Len())
+	}
+	near.Cancel() // a second cancel is a no-op
+	if end := s.Run(); end != Second || fired != 1 {
+		t.Fatalf("Run ended at %d with %d fired, want %d and 1", end, fired, Second)
+	}
+}
+
+// Answered RPC waits unlink their expiries, so the ring holds only live
+// events however many waits run: 10^5 sequential 2 ms waits answered after
+// 1.5 µs would otherwise keep ~1,300 dead expiries queued at once.
+func TestAnsweredWaitsKeepQueueSmall(t *testing.T) {
+	s := NewSim(1)
+	defer s.Shutdown()
+	s.AddNode(1, NodeConfig{})
+	const waits = 100000
+	const answer = 1500 * Nanosecond
+	s.Spawn(1, func(p *Proc) {
+		for i := 0; i < waits; i++ {
+			f := NewFuture()
+			p.Spawn(func(r *Proc) {
+				r.Sleep(answer)
+				f.Complete(nil)
+			})
+			if _, ok := f.WaitTimeout(p, 2*Millisecond); !ok {
+				t.Errorf("wait %d timed out", i)
+				return
+			}
+		}
+	})
+	// The run ends with the last answer, not on a trailing dead expiry.
+	if end := s.Run(); end != waits*answer {
+		t.Fatalf("Run ended at %d, want %d", end, waits*answer)
+	}
+	if n := len(s.pq.slab); n > 4 {
+		t.Fatalf("slab grew to %d slots, want a small constant", n)
 	}
 }
 
