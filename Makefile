@@ -152,11 +152,13 @@ bench:
 # bench-layers runs the host-time layer benchmarks with allocation counts:
 # change-log snapshots at 16 / 1,024 / 65,536 pending entries (constant time,
 # zero allocations), directory listings at 10^2 / 10^4 entries (one
-# allocation each), and the simulator's process handoff, timed Future wait
-# and event queue under RPC load (256 procs' answered 2 ms waits). CI runs
-# the same set with -benchtime=1x.
+# allocation each), the simulator's process handoff, timed Future wait and
+# event queue under RPC load (256 procs' answered 2 ms waits), and the async
+# commit path's layers: the commit record encoding, the in-memory WAL append
+# and the switch's insert-success handler. CI runs the same set with
+# -benchtime=1x.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'ChangeLogSnapshot|ListDir|ProcHandoff|FutureWaitTimeout|RPCWait' -benchmem ./internal/core ./internal/server ./internal/env
+	$(GO) test -run '^$$' -bench 'ChangeLogSnapshot|ListDir|ProcHandoff|FutureWaitTimeout|RPCWait|EncodeCommit|WALAppend|SwitchInsert' -benchmem ./internal/core ./internal/server ./internal/env ./internal/wal ./internal/pswitch
 
 figures:
 	$(GO) run ./cmd/fsbench -fig all -scale quick

@@ -6,6 +6,7 @@ package client
 
 import (
 	"errors"
+	"strings"
 	"sync"
 
 	"switchfs/internal/core"
@@ -215,11 +216,32 @@ func (c *Client) ownerOfFP(fp core.Fingerprint) env.NodeID {
 	return c.cfg.Ring.OwnerNode(fp)
 }
 
-// call sends one request and waits for its response, retransmitting on
-// timeout. resent reports whether any retransmission happened (at-least-once
-// semantics for mutations).
-func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64) (wire.Msg, bool, error) {
-	fut := env.NewFuture()
+// rpcCall is one request in flight: its body, the packet that carries it,
+// and the Future its response completes, carved from one allocation.
+type rpcCall[R any, PR interface {
+	*R
+	wire.Msg
+}] struct {
+	req R
+	pkt wire.Packet
+	fut env.Future
+}
+
+// newCall carves a call carrying req to dst, the packet's destination (its
+// first hop, given to call, may be the switch).
+func newCall[R any, PR interface {
+	*R
+	wire.Msg
+}](c *Client, dst env.NodeID, req R) *rpcCall[R, PR] {
+	rc := &rpcCall[R, PR]{req: req}
+	rc.pkt = wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: PR(&rc.req)}
+	return rc
+}
+
+// call sends one request to hop and waits on fut for its response,
+// retransmitting on timeout. resent reports whether any retransmission
+// happened (at-least-once semantics for mutations).
+func (c *Client) call(p *env.Proc, hop env.NodeID, pkt *wire.Packet, fut *env.Future, rpc uint64) (wire.Msg, bool, error) {
 	c.mu.Lock()
 	if c.pending == nil {
 		c.pending = make(map[uint64]*env.Future)
@@ -238,7 +260,7 @@ func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64)
 	resent := false
 	for try := 0; try < c.cfg.MaxRetries; try++ {
 		att := c.cfg.Trace.Start(p, "attempt", "client")
-		p.Send(dst, pkt)
+		p.Send(hop, pkt)
 		v, ok := fut.WaitTimeout(p, c.cfg.RetryTimeout)
 		att.End()
 		if ok {
@@ -251,8 +273,13 @@ func (c *Client) call(p *env.Proc, dst env.NodeID, pkt *wire.Packet, rpc uint64)
 	return nil, resent, core.ErrTimeout
 }
 
-// op opens a client root span for one operation entry point (nil-safe).
+// op opens a client root span for one operation entry point. With tracing
+// off it returns nil (which every Handle method accepts) without building
+// the span name.
 func (c *Client) op(p *env.Proc, name string) *trace.Handle {
+	if c.cfg.Trace == nil {
+		return nil
+	}
 	return c.cfg.Trace.StartAuto(p, "op:"+name, "client")
 }
 
@@ -300,10 +327,22 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 		return resolved{}, core.ErrInvalid
 	}
 	cur := core.RootRef()
-	ancestors := []core.DirID{cur.ID}
+	ancestors := append(make([]core.DirID, 0, len(comps)), cur.ID)
+	// A canonical path (no empty, "." or ".." components) is exactly its
+	// components joined by slashes, so each walked prefix is a substring of
+	// it; any other path builds its prefixes.
+	n := 0
+	for _, comp := range comps {
+		n += 1 + len(comp)
+	}
+	canonical := n == len(path)
 	walked := ""
 	for _, comp := range comps[:len(comps)-1] {
-		walked += "/" + comp
+		if canonical {
+			walked = path[:len(walked)+1+len(comp)]
+		} else {
+			walked += "/" + comp
+		}
 		p.Compute(c.cfg.Costs.CacheLookup)
 		c.mu.Lock()
 		e, hit := c.cache[walked]
@@ -323,8 +362,10 @@ func (c *Client) resolve(p *env.Proc, path string) (resolved, error) {
 			c.cache = make(map[string]cachedDir)
 			c.byID = make(map[core.DirID][]string)
 		}
-		c.cache[walked] = cachedDir{ref: ref, attr: attr}
-		c.byID[ref.ID] = append(c.byID[ref.ID], walked)
+		// A substring key would pin the whole path it was cut from.
+		key := strings.Clone(walked)
+		c.cache[key] = cachedDir{ref: ref, attr: attr}
+		c.byID[ref.ID] = append(c.byID[ref.ID], key)
 		c.mu.Unlock()
 		cur = ref
 		ancestors = append(ancestors, cur.ID)
@@ -341,8 +382,8 @@ func (c *Client) lookupOne(p *env.Proc, parent core.DirRef, name string, ancesto
 	fp := key.Fingerprint()
 	dst := c.ownerOfFP(fp)
 	rpc := c.nextRPC()
-	req := &wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name}
-	v, _, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+	rc := newCall(c, dst, wire.LookupReq{ReqCommon: c.reqCommon(rpc, dst, ancestors), Parent: parent.ID, Name: name})
+	v, _, err := c.call(p, dst, &rc.pkt, &rc.fut, rpc)
 	if err != nil {
 		return core.DirRef{}, core.Attr{}, err
 	}

@@ -30,14 +30,14 @@ func (c *Client) mutateR(p *env.Proc, op core.Op, path string, perm core.Perm) (
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
 		rpc := c.nextRPC()
-		req := &wire.MutateReq{
+		rc := newCall(c, dst, wire.MutateReq{
 			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
-		}
-		v, re, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+		})
+		v, re, err := c.call(p, dst, &rc.pkt, &rc.fut, rpc)
 		resent = resent || re
 		if err != nil {
 			return err
@@ -119,14 +119,14 @@ func (c *Client) fileOp(p *env.Proc, op core.Op, path string, perm core.Perm) (c
 		key := core.Key{PID: r.parent.ID, Name: r.name}
 		dst := c.ownerOfFP(key.Fingerprint())
 		rpc := c.nextRPC()
-		req := &wire.FileReq{
+		rc := newCall(c, dst, wire.FileReq{
 			ReqCommon: c.reqCommon(rpc, dst, r.ancestors),
 			Op:        op,
 			Parent:    r.parent,
 			Name:      r.name,
 			Perm:      perm,
-		}
-		v, re, err := c.call(p, dst, &wire.Packet{Dst: dst, Origin: c.cfg.ID, Body: req}, rpc)
+		})
+		v, re, err := c.call(p, dst, &rc.pkt, &rc.fut, rpc)
 		resent = resent || re
 		if err != nil {
 			return err
@@ -209,18 +209,17 @@ func (c *Client) dirReadRef(p *env.Proc, op core.Op, ref core.DirRef, ancestors 
 	p.Compute(c.cfg.Costs.ClientOp)
 	owner := c.ownerOfFP(ref.FP)
 	rpc := c.nextRPC()
-	req := &wire.DirReadReq{
+	rc := newCall(c, owner, wire.DirReadReq{
 		ReqCommon: c.reqCommon(rpc, owner, ancestors),
 		Op:        op,
 		Dir:       ref,
-	}
-	pkt := &wire.Packet{Dst: owner, Origin: c.cfg.ID, Body: req}
-	dst := owner
+	})
+	hop := owner
 	if c.cfg.Tracker != server.TrackerOwner {
-		pkt.DS = &wire.DSHeader{Op: wire.DSQuery, FP: ref.FP}
-		dst = c.cfg.SwitchFor(ref.FP)
+		rc.pkt.DS = &wire.DSHeader{Op: wire.DSQuery, FP: ref.FP}
+		hop = c.cfg.SwitchFor(ref.FP)
 	}
-	v, _, err := c.call(p, dst, pkt, rpc)
+	v, _, err := c.call(p, hop, &rc.pkt, &rc.fut, rpc)
 	if err != nil {
 		return core.Attr{}, nil, err
 	}
@@ -252,21 +251,24 @@ func (c *Client) twoPath(p *env.Proc, op core.Op, src, dst string) (bool, error)
 			anc := append(append([]core.DirID(nil), rs.ancestors...), rd.ancestors...)
 			rpc := c.nextRPC()
 			coord := c.cfg.Coordinator
-			var body wire.Msg
+			var pkt *wire.Packet
+			var fut *env.Future
 			if op == core.OpRename {
-				body = &wire.RenameReq{
+				rc := newCall(c, coord, wire.RenameReq{
 					ReqCommon: c.reqCommon(rpc, coord, anc),
 					SrcParent: rs.parent, SrcName: rs.name,
 					DstParent: rd.parent, DstName: rd.name,
-				}
+				})
+				pkt, fut = &rc.pkt, &rc.fut
 			} else {
-				body = &wire.LinkReq{
+				rc := newCall(c, coord, wire.LinkReq{
 					ReqCommon: c.reqCommon(rpc, coord, anc),
 					SrcParent: rs.parent, SrcName: rs.name,
 					DstParent: rd.parent, DstName: rd.name,
-				}
+				})
+				pkt, fut = &rc.pkt, &rc.fut
 			}
-			v, re, err := c.call(p, coord, &wire.Packet{Dst: coord, Origin: c.cfg.ID, Body: body}, rpc)
+			v, re, err := c.call(p, coord, pkt, fut, rpc)
 			resent = resent || re
 			if err != nil {
 				return err

@@ -116,6 +116,79 @@ func TestKeyEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestKeyCompareMatchesEncoding checks that Key.Compare is the byte order
+// of Key.Encode, on random keys and on the edge cases: equal PIDs, a name
+// that prefixes another, and the empty name.
+func TestKeyCompareMatchesEncoding(t *testing.T) {
+	sign := func(n int) int {
+		switch {
+		case n < 0:
+			return -1
+		case n > 0:
+			return 1
+		}
+		return 0
+	}
+	check := func(a, b Key) {
+		t.Helper()
+		if got, want := a.Compare(b), bytes.Compare(a.Encode(), b.Encode()); sign(got) != want {
+			t.Fatalf("Compare(%v, %v) = %d, bytes.Compare of encodings = %d", a, b, got, want)
+		}
+	}
+	p, q := DirID{1, 2, 3, 4}, DirID{1, 2, 3, 5}
+	edge := []Key{
+		{PID: p}, {PID: p, Name: "a"}, {PID: p, Name: "ab"}, {PID: p, Name: "b"},
+		{PID: q}, {PID: q, Name: "a"}, {PID: DirID{0, ^uint64(0), 0, 0}, Name: "z"},
+		{PID: DirID{1, 0, 0, 0}}, {PID: DirID{}, Name: "\xff"},
+	}
+	for _, a := range edge {
+		for _, b := range edge {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	word := func() uint64 { return uint64(rng.Intn(3)) << (8 * uint(rng.Intn(8))) }
+	name := func() string {
+		b := make([]byte, rng.Intn(4))
+		for i := range b {
+			b[i] = "ab\x00\xff"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		a := Key{PID: DirID{word(), word(), word(), word()}, Name: name()}
+		b := a
+		switch rng.Intn(3) {
+		case 0:
+			b.Name = name()
+		case 1:
+			b.PID[rng.Intn(4)] = word()
+		default:
+			b = Key{PID: DirID{word(), word(), word(), word()}, Name: name()}
+		}
+		check(a, b)
+	}
+}
+
+// TestAppendEncodings checks that the append forms write exactly the bytes
+// of Encode / EncodeInode after whatever the buffer already holds.
+func TestAppendEncodings(t *testing.T) {
+	k := Key{PID: DirID{9, 8, 7, 6}, Name: "name"}
+	if got := k.AppendEncode([]byte("xy")); !bytes.Equal(got, append([]byte("xy"), k.Encode()...)) {
+		t.Fatalf("AppendEncode = %x", got)
+	}
+	if n := len(k.Encode()); n != KeyLen(k.Name) || KeyLen(string(make([]byte, MaxNameLen))) != MaxKeyLen {
+		t.Fatalf("KeyLen(%q) = %d, encoding %d bytes", k.Name, KeyLen(k.Name), n)
+	}
+	in := &Inode{Attr: Attr{Type: TypeRegular, Perm: 0o600, Size: 5}, File: 3, DataLoc: []uint32{4, 2}}
+	if got := AppendInode([]byte("xy"), in); !bytes.Equal(got, append([]byte("xy"), EncodeInode(in)...)) {
+		t.Fatalf("AppendInode = %x", got)
+	}
+	if n := len(EncodeInode(in)); n != InodeLen(in) {
+		t.Fatalf("InodeLen = %d, encoding %d bytes", InodeLen(in), n)
+	}
+}
+
 func TestKeyAndEntryTablesDisjoint(t *testing.T) {
 	// The regression this guards: the inode of (pid, name) and a dentry of
 	// directory pid with the same name must never share a storage key.
@@ -169,6 +242,18 @@ func TestSplitPath(t *testing.T) {
 		if fmt.Sprint(got) != c.want {
 			t.Errorf("SplitPath(%q) = %v, want %s", c.in, got, c.want)
 		}
+	}
+}
+
+// TestSplitPathAllocs pins SplitPath to one allocation: the component list,
+// whose strings are substrings of the path.
+func TestSplitPathAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := SplitPath("/a/./bb//ccc/../d"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("SplitPath made %v allocations, want 1", n)
 	}
 }
 

@@ -99,12 +99,38 @@ const (
 // Encode renders the inode-table key: tag, parent id, separator, name.
 // Lexicographic order groups a parent's inode keys together.
 func (k Key) Encode() []byte {
-	b := make([]byte, 0, 1+32+1+len(k.Name))
+	return k.AppendEncode(make([]byte, 0, KeyLen(k.Name)))
+}
+
+// KeyLen is the length of the encoding of a key named name.
+func KeyLen(name string) int { return 1 + 32 + 1 + len(name) }
+
+// MaxKeyLen bounds the encoding of a key with a valid name: a buffer of this
+// size holds any of them.
+const MaxKeyLen = 1 + 32 + 1 + MaxNameLen
+
+// AppendEncode appends the Encode form of k to b, so callers can encode into
+// a buffer they own.
+func (k Key) AppendEncode(b []byte) []byte {
 	b = append(b, tagInode)
 	b = k.PID.AppendBinary(b)
 	b = append(b, '/')
-	b = append(b, k.Name...)
-	return b
+	return append(b, k.Name...)
+}
+
+// Compare orders keys as bytes.Compare orders their encodings, without
+// encoding them: the PID is fixed-width big-endian, so comparing its words
+// and then the names is the byte order.
+func (k Key) Compare(o Key) int {
+	for i := range k.PID {
+		if k.PID[i] != o.PID[i] {
+			if k.PID[i] < o.PID[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return strings.Compare(k.Name, o.Name)
 }
 
 // DecodeKey parses an inode-table key encoded by Key.Encode. Keys from other
@@ -120,7 +146,12 @@ func DecodeKey(b []byte) (Key, error) {
 // directory id. Dentries are stored on the same server as the directory's
 // inode (Tab. 3).
 func EntryPrefix(id DirID) []byte {
-	b := make([]byte, 0, 34)
+	return AppendEntryPrefix(make([]byte, 0, 34), id)
+}
+
+// AppendEntryPrefix appends EntryPrefix(id) to b; appending a name after it
+// forms that dentry's key.
+func AppendEntryPrefix(b []byte, id DirID) []byte {
 	b = append(b, tagEntry)
 	b = id.AppendBinary(b)
 	return append(b, '/')
@@ -167,14 +198,16 @@ func ValidateName(name string) error {
 const MaxNameLen = 255
 
 // SplitPath normalizes an absolute slash-separated path into its components.
-// The empty list denotes the root directory.
+// The empty list denotes the root directory. The components are substrings of
+// path, so the list is the one allocation.
 func SplitPath(path string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, fmt.Errorf("%w: path %q is not absolute", ErrInvalid, path)
 	}
-	raw := strings.Split(path, "/")
-	comps := make([]string, 0, len(raw))
-	for _, c := range raw {
+	comps := make([]string, 0, strings.Count(path, "/"))
+	for rest, more := path[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 			continue
@@ -195,7 +228,15 @@ func SplitPath(path string) ([]string, error) {
 
 // EncodeInode serializes an inode for storage in the KV store and the WAL.
 func EncodeInode(in *Inode) []byte {
-	b := make([]byte, 0, inodeFixedLen+4*len(in.DataLoc))
+	return AppendInode(make([]byte, 0, InodeLen(in)), in)
+}
+
+// InodeLen is the length of the encoding of in.
+func InodeLen(in *Inode) int { return inodeFixedLen + 4*len(in.DataLoc) }
+
+// AppendInode appends the EncodeInode form of in to b, so callers can encode
+// into a buffer they own.
+func AppendInode(b []byte, in *Inode) []byte {
 	b = append(b, byte(in.Type))
 	b = binary.BigEndian.AppendUint16(b, uint16(in.Perm))
 	b = binary.BigEndian.AppendUint32(b, in.UID)

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // groupLen is the length of the schema's group prefix: tag byte + 32-byte
@@ -116,7 +117,8 @@ func (s *Store) intern(b []byte) string {
 
 // internVal returns a stored copy of val, deduplicated when small. Stored
 // values are never mutated in place (Put installs a fresh value), so sharing
-// one slice across keys is safe.
+// one slice across keys is safe — and so is keying the table by a string
+// view of that same copy, which makes a new value cost one allocation.
 func (s *Store) internVal(val []byte) []byte {
 	if len(val) == 0 {
 		return nil
@@ -127,7 +129,7 @@ func (s *Store) internVal(val []byte) []byte {
 		}
 		v := append([]byte(nil), val...)
 		if len(s.vals) < internValCap {
-			s.vals[string(v)] = v
+			s.vals[unsafe.String(&v[0], len(v))] = v
 		}
 		return v
 	}

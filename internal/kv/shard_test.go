@@ -148,6 +148,40 @@ func TestValueInterningShares(t *testing.T) {
 	}
 }
 
+// TestNewValueOneAllocation pins the interning cost of a value the table has
+// not seen: one copy serves as both the stored value and the table's key.
+// The key already exists, so no name or shard is created.
+func TestNewValueOneAllocation(t *testing.T) {
+	s := kv.New()
+	k := schemaKey('i', dirID(3), "f")
+	s.Put(k, []byte("first"))
+	val := make([]byte, 16)
+	i := uint64(0)
+	if n := testing.AllocsPerRun(2000, func() {
+		i++
+		for j := range 8 {
+			val[j] = byte(i >> (8 * j))
+		}
+		s.Put(k, val)
+	}); n > 1 {
+		t.Fatalf("Put of a new small value made %v allocations, want <= 1", n)
+	}
+	// The table keys by the stored copy: changing the caller's buffer must
+	// not disturb the stored value or the table.
+	want := append([]byte(nil), val...)
+	val[0]++
+	if v, _ := s.Get(k); !bytes.Equal(v, want) {
+		t.Fatalf("stored value %x, want %x", v, want)
+	}
+	k2 := schemaKey('i', dirID(4), "g")
+	s.Put(k2, want)
+	v1, _ := s.GetView(k)
+	v2, _ := s.GetView(k2)
+	if &v1[0] != &v2[0] {
+		t.Error("an equal value put later should share the interned copy")
+	}
+}
+
 // TestLargeValuesNotShared checks values above the interning bound are
 // independent copies.
 func TestLargeValuesNotShared(t *testing.T) {

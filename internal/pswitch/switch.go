@@ -157,10 +157,11 @@ func (s *Switch) Handler(p *env.Proc, from env.NodeID, msg any) {
 			// Success: multicast completion to the client and unlock signal
 			// to the origin server (Fig. 4, 7a/7b).
 			if cn != nil {
-				p.Send(cn.Client, &wire.Packet{Dst: cn.Client, Origin: s.ID,
-					Trace: sp.Ctx(), Body: cn.Resp})
-				p.Send(pkt.Origin, &wire.Packet{Dst: pkt.Origin, Origin: s.ID,
-					Trace: sp.Ctx(), Body: &wire.CommitAck{CommitID: cn.CommitID}})
+				out := &insertReply{ack: wire.CommitAck{CommitID: cn.CommitID}}
+				out.client = wire.Packet{Dst: cn.Client, Origin: s.ID, Trace: sp.Ctx(), Body: cn.Resp}
+				out.origin = wire.Packet{Dst: pkt.Origin, Origin: s.ID, Trace: sp.Ctx(), Body: &out.ack}
+				p.Send(cn.Client, &out.client)
+				p.Send(pkt.Origin, &out.origin)
 			}
 			return
 		}
@@ -209,6 +210,14 @@ func dsSpanName(op wire.DSOp) string {
 type queryReply struct {
 	pkt wire.Packet
 	hdr wire.DSHeader
+}
+
+// insertReply bundles the completion multicast of a successful insert — the
+// client's response packet, and the origin's CommitAck with its packet — so
+// the pair costs one allocation, not three.
+type insertReply struct {
+	client, origin wire.Packet
+	ack            wire.CommitAck
 }
 
 // Stales counts removes rejected by the sequence guard.

@@ -32,7 +32,7 @@ type peerAggState struct {
 	owner  env.NodeID
 	logs   []wire.DirLog
 	locked []*dirLog
-	done   *env.Future
+	done   env.Future
 	// ready flips once the snapshot exists; duplicate fetches arriving
 	// earlier are dropped — answering them with the (empty) placeholder
 	// would let the owner complete without this peer's entries while the
@@ -121,7 +121,7 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 	s.mu.Lock()
 	s.nextAgg++
 	id := uint64(s.cfg.ID)<<40 | s.nextAgg
-	ctx := &aggCtx{id: id, fp: fp, done: env.NewFuture(), expect: make(map[env.NodeID]bool)}
+	ctx := &aggCtx{id: id, fp: fp, expect: make(map[env.NodeID]bool)}
 	for _, peer := range s.cfg.Peers {
 		if peer != s.cfg.ID {
 			ctx.expect[peer] = true
@@ -196,14 +196,15 @@ func (s *Server) runAggregation(p *env.Proc, fp core.Fingerprint, opts *aggOpts)
 				s.reply(p, peer, fetch)
 			}
 		} else {
-			sw := s.cfg.SwitchFor(fp)
-			p.Send(sw, &wire.Packet{
-				DS:     &wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq},
-				Dst:    sw,
+			out := &dsPacket{ds: wire.DSHeader{Op: wire.DSRemove, FP: fp, Seq: seq}}
+			out.pkt = wire.Packet{
+				DS:     &out.ds,
+				Dst:    s.cfg.SwitchFor(fp),
 				Origin: s.cfg.ID,
 				Trace:  p.TraceCtx(),
 				Body:   fetch,
-			})
+			}
+			p.Send(out.pkt.Dst, &out.pkt)
 		}
 		if _, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {
 			break
@@ -349,13 +350,14 @@ func (s *Server) markDirty(p *env.Proc, fp core.Fingerprint) {
 		s.mu.Unlock()
 		return
 	}
-	sw := s.cfg.SwitchFor(fp)
-	p.Send(sw, &wire.Packet{
-		DS:     &wire.DSHeader{Op: wire.DSInsert, FP: fp, AltDst: s.ownerOfFP(fp)},
-		Dst:    sw,
+	out := &dsPacket{ds: wire.DSHeader{Op: wire.DSInsert, FP: fp, AltDst: s.ownerOfFP(fp)}}
+	out.pkt = wire.Packet{
+		DS:     &out.ds,
+		Dst:    s.cfg.SwitchFor(fp),
 		Origin: s.cfg.ID,
 		Trace:  p.TraceCtx(),
-	})
+	}
+	p.Send(out.pkt.Dst, &out.pkt)
 }
 
 // completedAggCache bounds the re-ack cache.
@@ -399,7 +401,7 @@ func (s *Server) handleAggFetch(p *env.Proc, f *wire.AggFetch) {
 		s.reply(p, f.Owner, &wire.AggEntries{AggID: f.AggID, FP: f.FP, From: s.cfg.ID, Logs: logs})
 		return
 	}
-	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner, done: env.NewFuture()}
+	st := &peerAggState{id: f.AggID, fp: f.FP, owner: f.Owner}
 	if s.peerAggs == nil {
 		s.peerAggs = make(map[uint64]*peerAggState)
 	}
@@ -570,8 +572,7 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 	}
 	wsp.End()
 
-	ek := log.Dir.Key.Encode()
-	raw, ok := s.kv.GetView(ek)
+	raw, ok := s.getInode(log.Dir.Key)
 	p.Compute(c.KVGet)
 	if !ok {
 		// The directory vanished (rmdir raced a straggling update); the
@@ -590,13 +591,12 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 		comp := core.Compact(fresh)
 		comp.ApplyToAttr(&in.Attr)
 		p.Compute(c.KVGet + c.KVPut) // one attribute read-modify-write
-		s.kv.Put(ek, core.EncodeInode(in))
+		s.putInode(log.Dir.Key, in)
 		for _, op := range comp.Ops {
-			dk := append(core.EntryPrefix(in.ID), op.Name...)
 			if op.Put {
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: op.Name, Type: op.Type, Perm: op.Perm}))
+				s.putDentry(in.ID, core.DirEntry{Name: op.Name, Type: op.Type, Perm: op.Perm})
 			} else {
-				s.kv.Delete(dk)
+				s.deleteDentry(in.ID, op.Name)
 			}
 		}
 		// Compacted entry-list operations touch distinct names, so they
@@ -608,14 +608,8 @@ func (s *Server) applyEntries(p *env.Proc, src env.NodeID, log wire.DirLog) uint
 			one := core.Compact([]core.LogEntry{e})
 			one.ApplyToAttr(&in.Attr)
 			p.Compute(c.KVGet + c.KVPut + c.LogApplyEntry)
-			s.kv.Put(ek, core.EncodeInode(in))
-			dk := append(core.EntryPrefix(in.ID), e.Name...)
-			switch e.Op {
-			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}))
-			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(dk)
-			}
+			s.putInode(log.Dir.Key, in)
+			s.applyDentry(in.ID, e)
 		}
 	}
 	s.setAppliedMark(src, log.Dir.ID, maxID)
@@ -740,7 +734,10 @@ func (s *Server) resetIdleTimer(dl *dirLog) {
 	if dl.idle != nil {
 		dl.idle.Cancel()
 	}
-	dl.idle = s.env.After(s.cfg.PushIdle, func() { s.maybePush(dl) })
+	if dl.onIdle == nil {
+		dl.onIdle = func() { s.maybePush(dl) }
+	}
+	dl.idle = s.env.After(s.cfg.PushIdle, dl.onIdle)
 	dl.qmu.Unlock()
 }
 
@@ -844,7 +841,7 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	s.tallyFP(key.Fingerprint())
 	// Pre-check existence and type without locks to learn the target id.
 	p.Compute(c.KVGet)
-	raw, ok := s.kv.GetView(key.Encode())
+	raw, ok := s.getInode(key)
 	if !ok {
 		s.fpExit(key.Fingerprint())
 		resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, core.ErrNotExist)}
@@ -897,7 +894,7 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	// change-log if the parent was renamed since it was created.
 	s.rekeyClog(parentLog, req.Parent)
 	// Re-validate under the lock: the directory may have raced away.
-	if !s.kv.Has(key.Encode()) {
+	if !s.hasInode(key) {
 		fail(core.ErrNotExist)
 		return
 	}
@@ -918,7 +915,7 @@ func (s *Server) doRmdir(p *env.Proc, req *wire.MutateReq) {
 	walRec := s.encodeCommit(core.OpRmdir, key, req.Parent, entry, in)
 	p.Compute(c.WALAppend + c.KVDel)
 	lsn := mustAppend(s.wal, recCommit, walRec)
-	s.kv.Delete(key.Encode())
+	s.deleteInode(key)
 
 	if !s.cfg.Async {
 		s.syncCommit(p, req, parentLog, entry, lsn, kl, core.DirID{})

@@ -72,7 +72,7 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	// fingerprint.
 	s.rekeyClog(parentLog, req.Parent)
 	p.Compute(c.KVGet)
-	raw, exists := s.kv.GetView(key.Encode())
+	raw, exists := s.getInode(key)
 	var newDir core.DirID
 	in := &core.Inode{}
 	entry := core.LogEntry{Time: p.Now(), Name: req.Name}
@@ -145,10 +145,10 @@ func (s *Server) doMutate(p *env.Proc, req *wire.MutateReq) {
 	wsp.End()
 	if req.Op == core.OpDelete {
 		p.Compute(c.KVDel)
-		s.kv.Delete(key.Encode())
+		s.deleteInode(key)
 	} else {
 		p.Compute(c.KVPut)
-		s.kv.Put(key.Encode(), core.EncodeInode(in))
+		s.putInode(key, in)
 	}
 
 	if !s.cfg.Async {
@@ -204,12 +204,12 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 	defer csp.End()
 	s.mu.Lock()
 	s.nextCommit++
-	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture(),
-		dir: parent.ID, entryID: entry.ID}
+	ctx := &commitCtx{id: s.nextCommit}
 	s.commits[ctx.id] = ctx
 	s.mu.Unlock()
 
-	notice := &wire.CommitNotice{
+	notice := &ctx.notice
+	*notice = wire.CommitNotice{
 		Resp:     resp,
 		Client:   client,
 		CommitID: ctx.id,
@@ -228,7 +228,7 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		notice.Update = wire.DirLog{Dir: parent, Entries: parentLog.log.Snapshot()}
 		parentLog.qmu.Unlock()
 	}
-	for {
+	for try := 0; ; try++ {
 		if s.dead {
 			return // fail-stopped: this incarnation retries no further
 		}
@@ -237,24 +237,26 @@ func (s *Server) asyncCommit(p *env.Proc, parent core.DirRef, parentLog *dirLog,
 		// built once with a stale AltDst would keep steering the switch's
 		// overflow rewrite at a server that no longer owns the directory
 		// (the old owner forwards in-flight stragglers, but retransmissions
-		// must route right at the source).
-		var dst env.NodeID
-		var pkt *wire.Packet
+		// must route right at the source). The first send uses the packet
+		// carved with the context; each retry builds a fresh one.
+		out := &ctx.first
+		if try > 0 {
+			out = &dsPacket{}
+		}
 		if s.cfg.Tracker == TrackerOwner {
-			dst = s.ownerOfFP(parent.FP)
-			pkt = &wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
+			dst := s.ownerOfFP(parent.FP)
+			out.pkt = wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
 		} else {
-			dst = s.cfg.SwitchFor(parent.FP)
-			pkt = &wire.Packet{
-				DS: &wire.DSHeader{Op: wire.DSInsert, FP: parent.FP,
-					AltDst: s.ownerOfFP(parent.FP)},
-				Dst:    dst,
+			out.ds = wire.DSHeader{Op: wire.DSInsert, FP: parent.FP, AltDst: s.ownerOfFP(parent.FP)}
+			out.pkt = wire.Packet{
+				DS:     &out.ds,
+				Dst:    s.cfg.SwitchFor(parent.FP),
 				Origin: s.cfg.ID,
 				Trace:  p.TraceCtx(),
 				Body:   notice,
 			}
 		}
-		p.Send(dst, pkt)
+		p.Send(out.pkt.Dst, &out.pkt)
 		v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout)
 		if ok {
 			ack := v.(*wire.CommitAck)
@@ -288,21 +290,22 @@ func (s *Server) syncCommit(p *env.Proc, req *wire.MutateReq, parentLog *dirLog,
 
 	s.mu.Lock()
 	s.nextCommit++
-	ctx := &commitCtx{id: s.nextCommit, done: env.NewFuture()}
+	ctx := &commitCtx{id: s.nextCommit}
 	s.commits[ctx.id] = ctx
 	s.mu.Unlock()
 
 	csp := s.cfg.Trace.Start(p, "commit:sync", "server")
 	defer csp.End()
 	resp := &wire.MutateResp{RespCommon: s.respCommon(&req.ReqCommon, nil), Dir: newDir}
-	notice := &wire.CommitNotice{
+	ctx.notice = wire.CommitNotice{
 		Resp:     resp,
 		Client:   req.Client,
 		CommitID: ctx.id,
 		Update:   wire.DirLog{Dir: req.Parent, Entries: []core.LogEntry{entry}},
 	}
 	dst := s.ownerOfFP(req.Parent.FP)
-	pkt := &wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: notice}
+	pkt := &ctx.first.pkt
+	*pkt = wire.Packet{Dst: dst, Origin: s.cfg.ID, Trace: p.TraceCtx(), Body: &ctx.notice}
 	for {
 		p.Send(dst, pkt)
 		if v, ok := ctx.done.WaitTimeout(p, s.cfg.RetryTimeout); ok {

@@ -25,7 +25,7 @@ func (s *Server) handleLookup(p *env.Proc, req *wire.LookupReq) {
 		l := s.lockOf(key)
 		l.RLock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
+		raw, ok := s.getInode(key)
 		if !ok {
 			err = core.ErrNotExist
 		} else if in, derr := core.DecodeInode(raw); derr != nil {
@@ -65,7 +65,7 @@ func (s *Server) handleFile(p *env.Proc, req *wire.FileReq) {
 		l := s.lockOf(key)
 		l.RLock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
+		raw, ok := s.getInode(key)
 		if !ok {
 			err = core.ErrNotExist
 		} else if in, derr := core.DecodeInode(raw); derr != nil {
@@ -115,7 +115,7 @@ func (s *Server) handleChmod(p *env.Proc, req *wire.FileReq) {
 		l := s.lockOf(key)
 		l.Lock(p)
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.GetView(key.Encode())
+		raw, ok := s.getInode(key)
 		if !ok {
 			err = core.ErrNotExist
 		} else if in, derr := core.DecodeInode(raw); derr != nil {
@@ -124,8 +124,8 @@ func (s *Server) handleChmod(p *env.Proc, req *wire.FileReq) {
 			in.Perm = req.Perm
 			in.Ctime = p.Now()
 			p.Compute(c.WALAppend + c.KVPut)
-			mustAppend(s.wal, recInode, append(key.Encode(), core.EncodeInode(in)...))
-			s.kv.Put(key.Encode(), core.EncodeInode(in))
+			mustAppend(s.wal, recInode, encodeInodeRec(key, in))
+			s.putInode(key, in)
 			resp.Attr = in.Attr
 		}
 		l.Unlock()
@@ -187,7 +187,7 @@ func (s *Server) handleDirRead(p *env.Proc, pkt *wire.Packet, req *wire.DirReadR
 			l := s.lockOf(req.Dir.Key)
 			l.RLock(p)
 			p.Compute(c.KVGet)
-			raw, ok := s.kv.GetView(req.Dir.Key.Encode())
+			raw, ok := s.getInode(req.Dir.Key)
 			if !ok {
 				err = core.ErrNotExist
 			} else if in, derr := core.DecodeInode(raw); derr != nil {

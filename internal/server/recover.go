@@ -147,9 +147,9 @@ func (s *Server) replayWAL() error {
 			}
 			switch op {
 			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(key.Encode(), core.EncodeInode(in))
+				s.putInode(key, in)
 			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(key.Encode())
+				s.deleteInode(key)
 			}
 			if entry.ID > s.nextEntry {
 				s.nextEntry = entry.ID
@@ -174,9 +174,9 @@ func (s *Server) replayWAL() error {
 				return err
 			}
 			if in == nil {
-				s.kv.Delete(key.Encode())
+				s.deleteInode(key)
 			} else {
-				s.kv.Put(key.Encode(), core.EncodeInode(in))
+				s.putInode(key, in)
 			}
 		case recDentry:
 			dir := core.DirIDFromBytes(r.Payload)
@@ -184,11 +184,10 @@ func (s *Server) replayWAL() error {
 			t := core.FileType(r.Payload[33])
 			perm := core.Perm(binary.BigEndian.Uint16(r.Payload[34:]))
 			name := string(r.Payload[36:])
-			dk := append(core.EntryPrefix(dir), name...)
 			if put {
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: name, Type: t, Perm: perm}))
+				s.putDentry(dir, core.DirEntry{Name: name, Type: t, Perm: perm})
 			} else {
-				s.kv.Delete(dk)
+				s.deleteDentry(dir, name)
 			}
 		case recMark:
 			src := env.NodeID(binary.BigEndian.Uint64(r.Payload))
@@ -252,20 +251,13 @@ func (s *Server) redoAggEntry(src env.NodeID, dir core.DirRef, e core.LogEntry) 
 		return
 	}
 	s.applied[appliedKey{src: src, dir: dir.ID}] = e.ID
-	ek := dir.Key.Encode()
-	raw, ok := s.kv.Get(ek)
+	raw, ok := s.getInode(dir.Key)
 	if ok {
 		if in, err := core.DecodeInode(raw); err == nil {
 			one := core.Compact([]core.LogEntry{e})
 			one.ApplyToAttr(&in.Attr)
-			s.kv.Put(ek, core.EncodeInode(in))
-			dk := append(core.EntryPrefix(in.ID), e.Name...)
-			switch e.Op {
-			case core.OpCreate, core.OpMkdir:
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm}))
-			case core.OpDelete, core.OpRmdir:
-				s.kv.Delete(dk)
-			}
+			s.putInode(dir.Key, in)
+			s.applyDentry(in.ID, e)
 		}
 	}
 	if e.ID > s.nextTxnEntry && src&txnSrcFlag != 0 {
@@ -376,7 +368,7 @@ func (s *Server) InjectInode(key core.Key, in *core.Inode, log bool) {
 	if log {
 		mustAppend(s.wal, recInode, encodeInodeRec(key, in))
 	}
-	s.kv.Put(key.Encode(), core.EncodeInode(in))
+	s.putInode(key, in)
 }
 
 // InjectDentry installs a directory-entry record directly (fixture loading).
@@ -384,8 +376,7 @@ func (s *Server) InjectDentry(dir core.DirID, e core.DirEntry, log bool) {
 	if log {
 		mustAppend(s.wal, recDentry, encodeDentryRec(dir, e.Name, true, e.Type, e.Perm))
 	}
-	dk := append(core.EntryPrefix(dir), e.Name...)
-	s.kv.Put(dk, core.EncodeDirEntry(e))
+	s.putDentry(dir, e)
 }
 
 // AppliedMarks returns dir's per-source exactly-once watermarks, sorted by

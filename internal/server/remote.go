@@ -31,7 +31,8 @@ func (s *Server) readRemoteInode(p *env.Proc, owner env.NodeID, key core.Key) ([
 		if err := s.admitFP(p, key.Fingerprint()); err != nil {
 			return nil, err
 		}
-		raw, ok := s.kv.Get(key.Encode())
+		var kb [core.MaxKeyLen]byte
+		raw, ok := s.kv.Get(key.AppendEncode(kb[:0]))
 		s.fpExit(key.Fingerprint())
 		if !ok {
 			return nil, core.ErrNotExist
@@ -63,7 +64,8 @@ func (s *Server) handleReadInode(p *env.Proc, req *wire.ReadInodeReq) {
 		s.reply(p, req.From, resp)
 		return
 	}
-	raw, ok := s.kv.Get(req.Key.Encode())
+	var kb [core.MaxKeyLen]byte
+	raw, ok := s.kv.Get(req.Key.AppendEncode(kb[:0]))
 	s.fpExit(req.Key.Fingerprint())
 	if !ok {
 		resp.Err = core.ErrnoNotExist

@@ -6,7 +6,9 @@
 package server
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 
@@ -116,8 +118,10 @@ type dirLog struct {
 	log  core.ChangeLog
 	// walLSN maps entry ID → WAL record, for applied-marking.
 	walLSN map[uint64]wal.LSN
-	// idle triggers proactive pushes (§5.3).
-	idle *env.Timer
+	// idle triggers proactive pushes (§5.3); onIdle is its callback, built
+	// once per log rather than once per append.
+	idle   *env.Timer
+	onIdle func()
 	// pushing guards against concurrent pushes of the same log.
 	pushing bool
 	// heldBy, when nonzero, is the aggregation currently holding the
@@ -140,13 +144,23 @@ type fpState struct {
 	mu             env.Mutex
 }
 
-// commitCtx is a double-inode operation waiting for its switch leg.
+// commitCtx is a double-inode operation waiting for its switch leg. The
+// notice and the first packet that carries it are carved from the same
+// allocation as the context. No packet is changed after it is sent:
+// asyncCommit builds a fresh packet for each retransmission (its route can
+// change), and syncCommit resends its one packet unchanged.
 type commitCtx struct {
-	id      uint64
-	done    *env.Future // completed by CommitAck
-	lsn     wal.LSN
-	dir     core.DirID
-	entryID uint64
+	id     uint64
+	done   env.Future // completed by CommitAck
+	notice wire.CommitNotice
+	first  dsPacket
+}
+
+// dsPacket is a packet and the dirty-set header it points at, carved from
+// one allocation.
+type dsPacket struct {
+	pkt wire.Packet
+	ds  wire.DSHeader
 }
 
 // aggCtx is an in-flight aggregation this server owns.
@@ -155,7 +169,7 @@ type aggCtx struct {
 	fp      core.Fingerprint
 	expect  map[env.NodeID]bool // peers not yet replied
 	logs    []aggLog
-	done    *env.Future
+	done    env.Future
 	retries int
 }
 
@@ -175,8 +189,8 @@ type Server struct {
 	wal  wal.Log
 
 	// mu guards the in-memory indexes below (never held across a park).
-	mu        sync.Mutex              //detlint:ignore rawgo -- Real-mode guard for the in-memory indexes; leaf section, never held across a park
-	locks     map[string]*env.RWMutex // per-inode locks, by encoded key
+	mu        sync.Mutex                //detlint:ignore rawgo -- Real-mode guard for the in-memory indexes; leaf section, never held across a park
+	locks     map[core.Key]*env.RWMutex // per-inode locks
 	clogs     map[core.DirID]*dirLog
 	clogsByFP map[core.Fingerprint]map[core.DirID]*dirLog
 	fps       map[core.Fingerprint]*fpState
@@ -321,7 +335,7 @@ func New(e env.Env, cfg Config) *Server {
 		env:        e,
 		kv:         kv.New(),
 		wal:        cfg.WAL,
-		locks:      make(map[string]*env.RWMutex),
+		locks:      make(map[core.Key]*env.RWMutex),
 		clogs:      make(map[core.DirID]*dirLog),
 		clogsByFP:  make(map[core.Fingerprint]map[core.DirID]*dirLog),
 		fps:        make(map[core.Fingerprint]*fpState),
@@ -381,7 +395,7 @@ func (s *Server) bootstrapRoot() {
 		Attr: core.Attr{Type: core.TypeDir, Perm: core.DefaultDirPerm, Nlink: 2},
 		ID:   core.RootDirID,
 	}
-	s.kv.Put(root.Key.Encode(), core.EncodeInode(in))
+	s.putInode(root.Key, in)
 }
 
 // KV exposes the store for tests and recovery verification.
@@ -421,13 +435,12 @@ func (s *Server) ownerOfKey(k core.Key) env.NodeID {
 
 // lockOf returns (creating on demand) the lock of an inode key.
 func (s *Server) lockOf(k core.Key) *env.RWMutex {
-	ek := string(k.Encode())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.locks[ek]
+	l := s.locks[k]
 	if l == nil {
 		l = &env.RWMutex{}
-		s.locks[ek] = l
+		s.locks[k] = l
 	}
 	return l
 }
@@ -484,23 +497,28 @@ func (s *Server) rekeyClog(dl *dirLog, ref core.DirRef) {
 // iteration order is randomized per process, and any order that leaks into
 // message emission (pushes, aggregation collection) breaks the simulator's
 // cross-process determinism guarantee — the chaos/lincheck smoke gates diff
-// two separate runs byte for byte.
+// two separate runs byte for byte. The map is keyed by directory id, so the
+// ids are distinct and the order is total.
 func sortedClogs(m map[core.DirID]*dirLog) []*dirLog {
 	out := make([]*dirLog, 0, len(m))
 	for _, dl := range m {
 		out = append(out, dl)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessDirID(out[i].ref.ID, out[j].ref.ID) })
+	if len(out) > 1 {
+		slices.SortFunc(out, func(a, b *dirLog) int { return compareDirID(a.ref.ID, b.ref.ID) })
+	}
 	return out
 }
 
-func lessDirID(a, b core.DirID) bool {
-	for k := 0; k < len(a); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
+// compareDirID orders directory ids word by word (their encoding's byte
+// order).
+func compareDirID(a, b core.DirID) int {
+	for k := range a {
+		if c := cmp.Compare(a[k], b[k]); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // fpOf returns (creating on demand) the per-fingerprint aggregation gate.
@@ -669,7 +687,7 @@ func (s *Server) DirOps() []DirOp {
 		if out[i].N != out[j].N {
 			return out[i].N > out[j].N
 		}
-		return lessDirID(out[i].Dir, out[j].Dir)
+		return compareDirID(out[i].Dir, out[j].Dir) < 0
 	})
 	return out
 }

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"switchfs/internal/core"
 	"switchfs/internal/env"
@@ -22,15 +21,10 @@ type txnState struct {
 	id    uint64
 	locks []*env.RWMutex
 	ops   []wire.TxnOp
-	done  *env.Future
 	// lsn is the prepared-state WAL record, marked applied once the
 	// decision resolves the transaction.
 	lsn wal.LSN
 }
-
-// coordMutex serializes coordinator-side transactions. Stored per server but
-// only the coordinator's is used.
-var _ = sort.Ints // keep sort imported together with its use below
 
 // handleRename coordinates a rename (§5.2): up to four inodes across up to
 // four servers change together. If the source is a directory, its pending
@@ -323,7 +317,7 @@ func (s *Server) runTxn(p *env.Proc, parts []env.NodeID, ops [][]wire.TxnOp,
 	if s.txnVotes == nil {
 		s.txnVotes = make(map[uint64]*txnVotes)
 	}
-	tv := &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}
+	tv := &txnVotes{expect: make(map[env.NodeID]bool)}
 	for _, n := range parts {
 		tv.expect[n] = true
 	}
@@ -425,7 +419,7 @@ func (s *Server) recordCommit(p *env.Proc, id uint64, parts []env.NodeID) {
 // next coordinator recovery re-drives it. Reports whether all acks arrived.
 func (s *Server) driveDecision(p *env.Proc, id uint64, parts []env.NodeID, commit bool) bool {
 	s.mu.Lock()
-	td := &txnVotes{expect: make(map[env.NodeID]bool), done: env.NewFuture()}
+	td := &txnVotes{expect: make(map[env.NodeID]bool)}
 	for _, n := range parts {
 		td.expect[n] = true
 	}
@@ -586,7 +580,7 @@ func (s *Server) recordVote(txn uint64, errno core.Errno) {
 type txnVotes struct {
 	expect map[env.NodeID]bool
 	err    error
-	done   *env.Future
+	done   env.Future
 }
 
 // handleTxnPrepare is the participant side of phase one: lock keys in global
@@ -680,7 +674,7 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 	var err error
 	for _, ck := range tp.Check {
 		p.Compute(c.KVGet)
-		raw, ok := s.kv.Get(ck.Key.Encode())
+		raw, ok := s.getInode(ck.Key)
 		switch {
 		case ck.MustExist && !ok:
 			err = core.ErrNotExist
@@ -736,37 +730,24 @@ func (s *Server) handleTxnPrepare(p *env.Proc, tp *wire.TxnPrepare) {
 //
 //detlint:lock-escapes the acquired key locks are returned to the caller and held in the prepared-txn record until handleTxnDecision releases them
 func (s *Server) lockTxnKeys(p *env.Proc, ops []wire.TxnOp, checks []wire.TxnCheck) []*env.RWMutex {
-	type lk struct {
-		key  core.Key
-		lock *env.RWMutex
-	}
-	var lks []lk
-	seen := map[string]bool{}
-	addKey := func(k core.Key) {
-		ek := string(k.Encode())
-		if !seen[ek] {
-			seen[ek] = true
-			lks = append(lks, lk{key: k, lock: s.lockOf(k)})
-		}
-	}
+	keys := make([]core.Key, 0, len(ops)+len(checks))
 	for _, op := range ops {
 		switch op.Kind {
 		case wire.TxnPutInode, wire.TxnDelInode, wire.TxnAdjustNlink:
-			addKey(op.Key)
+			keys = append(keys, op.Key)
 		case wire.TxnDirUpdate:
-			addKey(op.Dir.Key)
+			keys = append(keys, op.Dir.Key)
 		}
 	}
 	for _, ck := range checks {
-		addKey(ck.Key)
+		keys = append(keys, ck.Key)
 	}
-	sort.Slice(lks, func(i, j int) bool {
-		return bytes.Compare(lks[i].key.Encode(), lks[j].key.Encode()) < 0
-	})
-	locks := make([]*env.RWMutex, 0, len(lks))
-	for _, l := range lks {
-		l.lock.Lock(p)
-		locks = append(locks, l.lock)
+	slices.SortFunc(keys, core.Key.Compare)
+	keys = slices.Compact(keys)
+	locks := make([]*env.RWMutex, len(keys))
+	for i, k := range keys {
+		locks[i] = s.lockOf(k)
+		locks[i].Lock(p)
 	}
 	return locks
 }
@@ -780,9 +761,8 @@ func encodeTxnPrepare(txn uint64, coord env.NodeID, ops []wire.TxnOp) []byte {
 	b = u64(b, uint64(len(ops)))
 	for _, op := range ops {
 		b = append(b, byte(op.Kind))
-		k := op.Key.Encode()
-		b = u64(b, uint64(len(k)))
-		b = append(b, k...)
+		b = u64(b, uint64(core.KeyLen(op.Key.Name)))
+		b = op.Key.AppendEncode(b)
 		b = u64(b, uint64(len(op.Inode)))
 		b = append(b, op.Inode...)
 		b = encodeEntry(b, op.Dir, op.Entry)
@@ -869,12 +849,13 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				in, err := core.DecodeInode(op.Inode)
 				if err == nil {
 					mustAppend(s.wal, recInode, encodeInodeRec(op.Key, in))
-					s.kv.Put(op.Key.Encode(), op.Inode)
+					var kb [core.MaxKeyLen]byte
+					s.kv.Put(op.Key.AppendEncode(kb[:0]), op.Inode)
 				}
 			case wire.TxnDelInode:
 				p.Compute(c.WALAppend + c.KVDel)
 				mustAppend(s.wal, recInode, encodeInodeRec(op.Key, nil))
-				s.kv.Delete(op.Key.Encode())
+				s.deleteInode(op.Key)
 			case wire.TxnDirUpdate:
 				// Synchronous single-entry directory update, logged like an
 				// aggregation application for recovery. The pseudo-source
@@ -888,9 +869,8 @@ func (s *Server) handleTxnDecision(p *env.Proc, td *wire.TxnDecision) {
 				p.Compute(c.WALAppend + c.KVPut)
 				mustAppend(s.wal, recDentry,
 					encodeDentryRec(op.Dir.ID, op.Entry.Name, true, op.Entry.Type, op.Entry.Perm))
-				dk := append(core.EntryPrefix(op.Dir.ID), op.Entry.Name...)
-				s.kv.Put(dk, core.EncodeDirEntry(core.DirEntry{
-					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm}))
+				s.putDentry(op.Dir.ID, core.DirEntry{
+					Name: op.Entry.Name, Type: op.Entry.Type, Perm: op.Entry.Perm})
 			case wire.TxnDelDentries:
 				p.Compute(c.WALAppend)
 				mustAppend(s.wal, recDelDentries, op.Dir.ID.AppendBinary(nil))

@@ -28,6 +28,63 @@ func mustMark(l wal.Log, lsn wal.LSN) {
 	}
 }
 
+// inodeBufLen sizes the stack buffer an inode is encoded into: the 89-byte
+// fixed part plus a stripe of up to maxStripeWidth data slots fits; a longer
+// encoding spills to the heap.
+const inodeBufLen = 96 + 4*maxStripeWidth
+
+// getInode returns a view of key's stored inode (the kv.GetView contract:
+// decode it before the next Put/Delete of key). The key is encoded into a
+// stack buffer.
+func (s *Server) getInode(key core.Key) ([]byte, bool) {
+	var kb [core.MaxKeyLen]byte
+	return s.kv.GetView(key.AppendEncode(kb[:0]))
+}
+
+// hasInode reports whether key has a stored inode.
+func (s *Server) hasInode(key core.Key) bool {
+	var kb [core.MaxKeyLen]byte
+	return s.kv.Has(key.AppendEncode(kb[:0]))
+}
+
+// putInode stores in under key. Key and inode are encoded into stack
+// buffers; the store keeps its own copy.
+func (s *Server) putInode(key core.Key, in *core.Inode) {
+	var kb [core.MaxKeyLen]byte
+	var ib [inodeBufLen]byte
+	s.kv.Put(key.AppendEncode(kb[:0]), core.AppendInode(ib[:0], in))
+}
+
+// deleteInode removes key's stored inode.
+func (s *Server) deleteInode(key core.Key) {
+	var kb [core.MaxKeyLen]byte
+	s.kv.Delete(key.AppendEncode(kb[:0]))
+}
+
+// putDentry stores a dentry in dir's entry list, its key encoded into a
+// stack buffer.
+func (s *Server) putDentry(dir core.DirID, de core.DirEntry) {
+	var kb [core.MaxKeyLen]byte
+	s.kv.Put(append(core.AppendEntryPrefix(kb[:0], dir), de.Name...), core.EncodeDirEntry(de))
+}
+
+// deleteDentry removes name from dir's entry list.
+func (s *Server) deleteDentry(dir core.DirID, name string) {
+	var kb [core.MaxKeyLen]byte
+	s.kv.Delete(append(core.AppendEntryPrefix(kb[:0], dir), name...))
+}
+
+// applyDentry applies one change-log entry's effect on the entry list of
+// directory dir.
+func (s *Server) applyDentry(dir core.DirID, e core.LogEntry) {
+	switch e.Op {
+	case core.OpCreate, core.OpMkdir:
+		s.putDentry(dir, core.DirEntry{Name: e.Name, Type: e.Type, Perm: e.Perm})
+	case core.OpDelete, core.OpRmdir:
+		s.deleteDentry(dir, e.Name)
+	}
+}
+
 // sortedNodeIDs snapshots a node-keyed map's keys in ascending id order: the
 // peer-set counterpart of sortedClogs. Any map iteration whose order can
 // reach the network (sends, RNG draws, lock acquisitions) must go through a
@@ -87,7 +144,7 @@ func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 	l.Lock(p)
 	defer l.Unlock()
 	p.Compute(c.KVGet)
-	raw, ok := s.kv.GetView(key.Encode())
+	raw, ok := s.getInode(key)
 	if !ok {
 		return core.ErrNotExist
 	}
@@ -99,12 +156,12 @@ func (s *Server) applyNlink(p *env.Proc, key core.Key, delta int32) error {
 	p.Compute(c.WALAppend + c.KVPut)
 	if n <= 0 {
 		mustAppend(s.wal, recInode, encodeInodeRec(key, nil))
-		s.kv.Delete(key.Encode())
+		s.deleteInode(key)
 		return nil
 	}
 	in.Nlink = uint32(n)
 	mustAppend(s.wal, recInode, encodeInodeRec(key, in))
-	s.kv.Put(key.Encode(), core.EncodeInode(in))
+	s.putInode(key, in)
 	return nil
 }
 
@@ -129,17 +186,18 @@ func (s *Server) ListDir(dir core.DirID) (entries []core.DirEntry, visited int) 
 
 // encodeCommit serializes a recCommit WAL record: the committed double-inode
 // operation, its inode image, and the deferred parent update (§5.2.1 step 4).
+// The record is one exactly-sized allocation; the inode is encoded in place.
 func (s *Server) encodeCommit(op core.Op, key core.Key, parent core.DirRef,
 	entry core.LogEntry, in *core.Inode) []byte {
 
-	enc := core.EncodeInode(in)
-	b := make([]byte, 0, 1+32+8+len(key.Name)+8+len(enc)+entryLen(parent, entry))
+	n := core.InodeLen(in)
+	b := make([]byte, 0, 1+32+8+len(key.Name)+8+n+entryLen(parent, entry))
 	b = append(b, byte(op))
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
-	b = u64(b, uint64(len(enc)))
-	b = append(b, enc...)
+	b = u64(b, uint64(n))
+	b = core.AppendInode(b, in)
 	b = encodeEntry(b, parent, entry)
 	return b
 }
@@ -175,17 +233,16 @@ func decodeCommit(b []byte) (op core.Op, key core.Key, parent core.DirRef,
 // encodeInodeRec serializes a recInode record: a direct inode put (nil inode
 // means delete).
 func encodeInodeRec(key core.Key, in *core.Inode) []byte {
-	var b []byte
-	if in == nil {
-		b = []byte{0}
-	} else {
-		b = []byte{1}
+	n, put := 1+32+8+len(key.Name), byte(0)
+	if in != nil {
+		n, put = n+core.InodeLen(in), 1
 	}
+	b := append(make([]byte, 0, n), put)
 	b = key.PID.AppendBinary(b)
 	b = u64(b, uint64(len(key.Name)))
 	b = append(b, key.Name...)
 	if in != nil {
-		b = append(b, core.EncodeInode(in)...)
+		b = core.AppendInode(b, in)
 	}
 	return b
 }

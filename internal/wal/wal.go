@@ -50,10 +50,27 @@ type Log interface {
 // Mem is the in-memory log. It survives simulated crashes (the server's
 // volatile structures are cleared; the Mem log is handed back to the
 // restarted server), which models stable storage.
+//
+// Append copies each payload into the tail of a chunk, so a run of records
+// costs one allocation per chunk rather than one per record; a payload over
+// maxChunked bytes gets an allocation of its own. Chunks double from
+// firstChunk up to memChunk bytes, so a log of a few records stays small.
+// Stored payloads are never written again: a full chunk is left behind, not
+// reused.
 type Mem struct {
 	mu      sync.Mutex
 	records []Record
+	chunk   []byte // the chunk being filled; len is its used prefix
 }
+
+// Payload chunking bounds: the first and the largest chunk size, and the
+// largest payload copied into a shared chunk (so at most 1/16 of a full-size
+// chunk is left unused when it fills).
+const (
+	firstChunk = 1 << 10
+	memChunk   = 64 << 10
+	maxChunked = memChunk / 16
+)
 
 // NewMem creates an empty in-memory log.
 func NewMem() *Mem { return &Mem{} }
@@ -66,9 +83,25 @@ func (m *Mem) Append(kind uint8, payload []byte) (LSN, error) {
 	m.records = append(m.records, Record{
 		LSN:     lsn,
 		Kind:    kind,
-		Payload: append([]byte(nil), payload...),
+		Payload: m.store(payload),
 	})
 	return lsn, nil
+}
+
+// store returns a copy of payload, carved from the current chunk when it is
+// small. The copy's capacity ends at its length, so appending to a payload
+// handed out by Replay reallocates instead of overwriting its neighbour.
+func (m *Mem) store(payload []byte) []byte {
+	n := len(payload)
+	if n == 0 || n > maxChunked {
+		return append([]byte(nil), payload...)
+	}
+	if cap(m.chunk)-len(m.chunk) < n {
+		m.chunk = make([]byte, 0, min(max(2*cap(m.chunk), firstChunk, n), memChunk))
+	}
+	off := len(m.chunk)
+	m.chunk = append(m.chunk, payload...)
+	return m.chunk[off : off+n : off+n]
 }
 
 // MarkApplied implements Log.

@@ -152,3 +152,99 @@ func TestReservedKindRejected(t *testing.T) {
 		t.Fatal("reserved kind accepted")
 	}
 }
+
+// TestMemPayloadsSurviveReuseAndChunkSpill checks the chunked copy contract:
+// a payload Replay returns stays intact after the caller rewrites the buffer
+// it appended from, after later appends fill its chunk and spill into a new
+// one, and after a reader appends to an earlier payload. Oversized payloads,
+// which are copied on their own, keep the same contract.
+func TestMemPayloadsSurviveReuseAndChunkSpill(t *testing.T) {
+	m := NewMem()
+	buf := make([]byte, 0, maxChunked)
+	var want [][]byte
+	appendRec := func(n int, fill byte) {
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = append(buf, fill+byte(i))
+		}
+		want = append(want, append([]byte(nil), buf...))
+		if _, err := m.Append(1, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xEE // the caller reuses its buffer
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		i := 0
+		if err := m.Replay(func(r Record) error {
+			if string(r.Payload) != string(want[i]) {
+				t.Fatalf("%s: record %d payload %x, want %x", stage, r.LSN, r.Payload, want[i])
+			}
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(want) {
+			t.Fatalf("%s: replayed %d records, want %d", stage, i, len(want))
+		}
+	}
+	appendRec(100, 1)
+	appendRec(200, 2)
+	check("same chunk")
+	if cap(m.chunk) != firstChunk {
+		t.Fatalf("a log of two small records holds a %d-byte chunk, want %d", cap(m.chunk), firstChunk)
+	}
+	// Fill past one chunk so later records live in a fresh chunk.
+	for k := 0; k < 2*memChunk/maxChunked; k++ {
+		appendRec(maxChunked-k, byte(k))
+	}
+	appendRec(maxChunked+1, 9) // oversized: its own allocation
+	appendRec(7, 3)
+	check("after spill")
+	// A reader appending to a replayed payload must not clobber the next one.
+	if err := m.Replay(func(r Record) error {
+		if r.LSN == 1 {
+			_ = append(r.Payload, 0xAA, 0xAA, 0xAA)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after reader append")
+}
+
+// TestMemAppendAllocs pins Mem.Append's amortized cost for record-sized
+// payloads: one chunk per 64 KiB of payload (after the first doublings) plus
+// the record slice's growth.
+func TestMemAppendAllocs(t *testing.T) {
+	m := NewMem()
+	payload := make([]byte, 200)
+	if n := testing.AllocsPerRun(10000, func() {
+		if _, err := m.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 1 {
+		t.Fatalf("Mem.Append made %v allocations per record, want < 1 amortized", n)
+	}
+}
+
+// BenchmarkWALAppend is the host-time layer benchmark of the in-memory WAL:
+// one commit-record-sized append per iteration. A fresh log every 4,096
+// records keeps memory bounded and charges each record its share of the
+// record list's growth.
+func BenchmarkWALAppend(b *testing.B) {
+	var m *Mem
+	payload := make([]byte, 200)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 0 {
+			m = NewMem()
+		}
+		if _, err := m.Append(1, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
